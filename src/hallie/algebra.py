@@ -339,11 +339,15 @@ def compute_path_basis(quiver: Quiver, relations: tuple[Relation, ...]):
 
 
 def _rational_rref(rows: list[list[Fraction]]) -> list[tuple[int, list[Fraction]]]:
-    """In-place RREF over Q; returns (pivot column, reduced row) pairs."""
+    """In-place RREF over Q; returns (pivot column, reduced row) pairs.
+
+    The rows are read only after the last elimination: a pivot row is
+    replaced by a new list each time a later pivot clears its column.
+    """
     if not rows:
         return []
     ncols = len(rows[0])
-    pivots: list[tuple[int, list[Fraction]]] = []
+    pivots: list[int] = []
     r = 0
     for c in range(ncols):
         pivot_row = None
@@ -360,11 +364,11 @@ def _rational_rref(rows: list[list[Fraction]]) -> list[tuple[int, list[Fraction]
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append((c, rows[r]))
+        pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return pivots
+    return [(c, rows[i]) for i, c in enumerate(pivots)]
 
 
 def reduce_path(spec: AlgebraSpec, path: Path) -> tuple[tuple[int, Path], ...]:

@@ -26,6 +26,7 @@ from .hall import ARFamily, HallConfig
 from .knit import KnitConfig, ar_to_doc, check_field_independence
 from .liealg import (compare_with_root_system, euler_lie_table, hall_lie_table,
                      jacobi_check, positive_roots, verify_isomorphism)
+from .linalg import is_prime
 from .report import CheckResult, Report
 from .reps import MultiplicityVector
 
@@ -46,11 +47,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--algebra", required=True, help="algebra JSON file")
         p.add_argument("--primes", default="auto",
-                       help="comma-separated primes, or 'auto'")
+                       help="comma-separated primes, or 'auto' "
+                            "(knit and verify only)")
         p.add_argument("--exclude-primes", default="",
                        help="primes never used as interpolation nodes")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for Hall counting")
+                       help="recorded in the output; must be 1")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for the decomposition splitting draws")
         p.add_argument("--format", choices=("json", "csv", "text"),
@@ -80,6 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_primes(text: str, default: list[int]) -> list[int]:
+    """Comma-separated distinct primes, or ``default`` for 'auto'.  A list
+    that stands in for a non-empty default must not be empty."""
     if text == "auto":
         return list(default)
     out = []
@@ -87,17 +91,16 @@ def parse_primes(text: str, default: list[int]) -> list[int]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        value = int(chunk)
-        out.append(value)
+        try:
+            out.append(int(chunk))
+        except ValueError as exc:
+            raise InputError(f"{chunk!r} is not an integer") from exc
+    if default and not out:
+        raise InputError(f"no primes in {text!r}")
     if len(set(out)) != len(out):
         raise InputError("primes must be distinct")
     for p in out:
-        d = 2
-        while d * d <= p:
-            if p % d == 0:
-                raise InputError(f"{p} is not prime")
-            d += 1
-        if p < 2:
+        if not is_prime(p):
             raise InputError(f"{p} is not prime")
     return out
 
@@ -167,16 +170,20 @@ def _excluded(args) -> tuple[int, ...]:
 
 
 def _validate_caps(args) -> None:
+    """Reject flag values the command cannot honour."""
     if args.max_vertices <= 0:
         raise InputError("--max-vertices must be positive")
-    if args.jobs <= 0:
-        raise InputError("--jobs must be positive")
+    if args.jobs != 1:
+        raise InputError("--jobs must be 1: Hall counting runs in one process")
+    if args.primes != "auto" and args.command not in ("knit", "verify"):
+        raise InputError(f"--primes applies to knit and verify only; "
+                         f"{args.command} picks its interpolation primes itself")
 
 
 def _family(spec: AlgebraSpec, args) -> ARFamily:
     _validate_caps(args)
     config = HallConfig(excluded_primes=_excluded(args), seed=args.seed,
-                        max_vertices=args.max_vertices, jobs=args.jobs)
+                        max_vertices=args.max_vertices)
     return ARFamily(spec, config, cache_dir=os.environ.get("HALLIE_CACHE_DIR"))
 
 

@@ -23,8 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -33,8 +31,9 @@ from .algebra import AlgebraSpec
 from .errors import (InconsistentCounts, NonIntegralCoefficients,
                      NonIntegralOrbitCount, ResourceBound)
 from .knit import ARQuiver, KnitConfig, ar_from_doc, ar_to_doc, knit
-from .linalg import (FMatrix, gaussian_binomial, intersect_subspaces,
-                     preimage_subspace, row_space, subspaces_between)
+from .linalg import (FMatrix, echelon, gaussian_binomial, intersect_subspaces,
+                     is_prime, odometer, preimage_subspace, row_space,
+                     subspaces_between)
 from .reps import (MultiplicityVector, Representation, SubspaceTuple, aut_order,
                    hom_dim, hom_space, identify, matches_class,
                    quotient_by_subtuple, restrict_to_subtuple)
@@ -49,19 +48,13 @@ class HallConfig:
     excluded_primes: tuple[int, ...] = ()
     seed: int = 0
     max_vertices: int = 512
-    jobs: int = 1
 
 
 def primes_from(start_after: int = 1) -> Iterator[int]:
     n = max(start_after, 1)
     while True:
         n += 1
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                break
-            d += 1
-        else:
+        if is_prime(n):
             yield n
 
 
@@ -239,8 +232,7 @@ def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
     verdict_by_image: dict[tuple, bool] = {}
     verts = m.spec.vertices
     field = m.field
-    field.inv(1)  # force the inverse table
-    inv_table = field._inverses
+    inv = field.inverses
     sub_dims = n1.dims
 
     # current[i] holds f transposed: rows indexed by n1 coordinates, so one
@@ -249,38 +241,25 @@ def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
     live = [i for i in range(len(verts)) if sub_dims[i]]
     current = [[[0] * m.dims[i] for _ in range(sub_dims[i])]
                for i in range(len(verts))]
-    # per basis element: flat list of (vertex, sub coord, ambient coord, value)
-    deltas = []
-    for f in basis:
-        flat = []
-        for i in live:
-            b = f[verts[i]]
-            for r in range(b.nrows):
-                for c in range(b.ncols):
-                    if b.rows[r][c]:
-                        flat.append((i, c, r, b.rows[r][c]))
-        deltas.append(flat)
-    counters = [0] * h
-    empty_key = tuple(() for _ in live)
+    # odometer deltas per basis element, transposed to match current
+    deltas = [[(i, c, r, val) for i in live
+               for r, row in enumerate(f[verts[i]].rows)
+               for c, val in enumerate(row) if val]
+              for f in basis]
 
     count = 0
-    total = p ** h
-    step = 0
-    while True:
+    for _ in odometer(current, deltas, p):
         key_parts = []
         for i in live:
-            reduced = _echelon_canonical(inv_table, p,
-                                         [row[:] for row in current[i]])
-            if reduced is None:
-                key_parts = None
-                break
-            key_parts.append(reduced)
-        if key_parts is not None:
-            key = tuple(key_parts) if key_parts else empty_key
+            rows = [row[:] for row in current[i]]
+            if len(echelon(rows, p, inv)) < len(rows):
+                break  # not injective at vertex i
+            key_parts.append(tuple(map(tuple, rows)))
+        else:
+            key = tuple(key_parts)
             verdict = verdict_by_image.get(key)
             if verdict is None:
                 bases = []
-                pos = 0
                 for i in range(len(verts)):
                     rows = key[live.index(i)] if i in live else ()
                     bases.append(FMatrix(field, len(rows), m.dims[i], rows))
@@ -290,65 +269,10 @@ def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
                 verdict_by_image[key] = verdict
             if verdict:
                 count += 1
-        step += 1
-        if step == total:
-            break
-        idx = 0
-        while True:
-            counters[idx] += 1
-            for i, c, r, val in deltas[idx]:
-                crow = current[i][c]
-                crow[r] = (crow[r] + val) % p
-            if counters[idx] < p:
-                break
-            counters[idx] = 0
-            idx += 1
     if count % aut:
         raise NonIntegralOrbitCount(
             f"{count} injective maps not divisible by |Aut| = {aut}")
     return count // aut
-
-
-def _echelon_canonical(inv_table, p: int,
-                       rows: list[list[int]]) -> tuple[tuple[int, ...], ...] | None:
-    """RREF of mutable full-rank-candidate rows as a hashable tuple; None as
-    soon as the rank is deficient."""
-    nrows = len(rows)
-    if nrows == 0:
-        return ()
-    ncols = len(rows[0])
-    if nrows > ncols:
-        return None
-    r = 0
-    for c in range(ncols):
-        pivot = -1
-        i = r
-        while i < nrows:
-            if rows[i][c]:
-                pivot = i
-                break
-            i += 1
-        if pivot < 0:
-            if ncols - c - 1 < nrows - r:
-                return None  # not enough columns left for full rank
-            continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-        row_r = rows[r]
-        inv = inv_table[row_r[c]]
-        if inv != 1:
-            rows[r] = row_r = [(x * inv) % p for x in row_r]
-        i = 0
-        while i < nrows:
-            if i != r:
-                f = rows[i][c]
-                if f:
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], row_r)]
-            i += 1
-        r += 1
-        if r == nrows:
-            return tuple(tuple(row) for row in rows)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +366,12 @@ class ARFamily:
         self._modules: dict[tuple[int, MultiplicityVector], Representation] = {}
         self._counts: dict[tuple, int] = {}
         self._polynomials: dict[tuple, HallPolynomial] = {}
-        self._lock = threading.Lock()
         self._reference_ids: frozenset[str] | None = None
 
     # -- knitting ----------------------------------------------------------
 
     def quiver(self, p: int) -> ARQuiver:
-        with self._lock:
-            ar = self._quivers.get(p)
+        ar = self._quivers.get(p)
         if ar is not None:
             return ar
         ar = self._load_cached(p)
@@ -457,16 +379,15 @@ class ARFamily:
             ar = knit(self.spec, p, KnitConfig(max_vertices=self.config.max_vertices,
                                                seed=self.config.seed))
             self._store_cached(p, ar)
-        with self._lock:
-            self._quivers.setdefault(p, ar)
-            ids = frozenset(v.id for v in ar.vertices)
-            if self._reference_ids is None:
-                self._reference_ids = ids
-            elif ids != self._reference_ids:
-                from .errors import FieldDependenceDetected
-                raise FieldDependenceDetected(
-                    f"vertex ids over F_{p} differ from the reference knit")
-        return self._quivers[p]
+        self._quivers[p] = ar
+        ids = frozenset(v.id for v in ar.vertices)
+        if self._reference_ids is None:
+            self._reference_ids = ids
+        elif ids != self._reference_ids:
+            from .errors import FieldDependenceDetected
+            raise FieldDependenceDetected(
+                f"vertex ids over F_{p} differ from the reference knit")
+        return ar
 
     def reference_quiver(self) -> ARQuiver:
         return self.quiver(first_primes(1, self.config.excluded_primes)[0])
@@ -595,7 +516,7 @@ class ARFamily:
             return HallPolynomial((0,), a, c, b, 0, (), (), None, None, excluded)
         degree_bound = sum(ex * (dx - ex) for ex, dx in zip(e, d))
         primes = first_primes(degree_bound + 2, excluded)
-        counts = self._counts_at(a, c, b, primes)
+        counts = [self.count(a, c, b, p) for p in primes]
         nodes, held_out = primes[:-1], primes[-1]
         values, check = counts[:-1], counts[-1]
         raw = lagrange_interpolate(nodes, values)
@@ -619,12 +540,6 @@ class ARFamily:
             return self._interpolate(a, c, b, excluded + (min(primes),),
                                      retried=True)
         return poly
-
-    def _counts_at(self, a, c, b, primes: Sequence[int]) -> list[int]:
-        if self.config.jobs > 1:
-            with ThreadPoolExecutor(max_workers=self.config.jobs) as pool:
-                return list(pool.map(lambda p: self.count(a, c, b, p), primes))
-        return [self.count(a, c, b, p) for p in primes]
 
     def euler(self, a: MultiplicityVector, c: MultiplicityVector,
               b: MultiplicityVector) -> int:

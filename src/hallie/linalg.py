@@ -13,30 +13,40 @@ from typing import Iterator, Sequence
 from .errors import ResourceBound
 
 
-class PrimeField:
-    """Arithmetic context for the field with p elements."""
+def is_prime(n: int) -> bool:
+    """Primality by trial division; anything below 2 is not prime."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
-    __slots__ = ("p", "_inverses")
+
+class PrimeField:
+    """Arithmetic context for the field with p elements.
+
+    ``inverses[a]`` is the inverse of a nonzero residue a (``inverses[0]``
+    is a placeholder 0); the echelon kernel indexes it directly.
+    """
+
+    __slots__ = ("p", "inverses")
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p < 2:
             raise ValueError(f"modulus must be an integer >= 2, got {p!r}")
-        d = 2
-        while d * d <= p:
-            if p % d == 0:
-                raise ValueError(f"modulus {p} is not prime")
-            d += 1
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
         self.p = p
-        self._inverses: tuple[int, ...] | None = None
+        self.inverses = (0,) + tuple(pow(x, p - 2, p) for x in range(1, p))
 
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F_p")
-        if self._inverses is None:
-            p = self.p
-            self._inverses = (0,) + tuple(pow(x, p - 2, p) for x in range(1, p))
-        return self._inverses[a]
+        return self.inverses[a]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
@@ -199,35 +209,94 @@ class RREF:
     pivots: tuple[int, ...]
 
 
-def rref(m: FMatrix) -> RREF:
-    """Reduced row echelon form over F_p. Deterministic: the pivot in each
-    column is the first nonzero entry scanning down."""
-    p = m.field.p
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
-    pivots: list[int] = []
+def echelon(rows: list[list[int]], p: int, inv: Sequence[int]) -> list[int]:
+    """Reduce mutable rows of residues mod p to reduced row echelon form in
+    place and return the pivot columns.
+
+    The pivot rows come first, in pivot order; the pivot in each column is
+    the first nonzero entry at or below the current row, so the result is
+    deterministic.  ``inv`` is the field's inverse table.  The rank is
+    ``len(pivots)``: callers that need full rank compare it with the row
+    count.
+    """
+    nrows = len(rows)
+    pivots = []
     r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] % p:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    for c in range(len(rows[0]) if rows else 0):
+        i = r
+        while i < nrows and not rows[i][c]:
+            i += 1
+        if i == nrows:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = m.field.inv(rows[r][c])
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        row_r = rows[i]
+        if i != r:
+            rows[i] = rows[r]
+        f = inv[row_r[c]]
+        if f != 1:
+            row_r = [(x * f) % p for x in row_r]
+        rows[r] = row_r
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [(a - f * b) % p for a, b in zip(row, row_r)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    reduced = FMatrix(m.field, nrows, ncols, tuple(tuple(row) for row in rows))
-    return RREF(reduced, r, tuple(pivots))
+    return pivots
+
+
+def odometer(mats: list[list[list[int]]],
+             deltas: Sequence[Sequence[tuple[int, int, int, int]]],
+             p: int) -> Iterator[None]:
+    """Walk every F_p-combination of h basis elements, yielding once per
+    combination with ``mats`` holding it.
+
+    ``mats`` is a list of mutable matrices, zero on entry; basis element k
+    is the flat list ``deltas[k]`` of ``(i, r, c, v)``, meaning v at row r,
+    column c of matrix i.  The combinations run in odometer order, zero
+    first, so each step adds one basis element, or a few when digits carry:
+    all p**h combinations, each exactly once.
+    """
+    digits = [0] * len(deltas)
+    yield
+    for _ in range(p ** len(deltas) - 1):
+        k = 0
+        while True:
+            for i, r, c, v in deltas[k]:
+                row = mats[i][r]
+                row[c] = (row[c] + v) % p
+            digits[k] += 1
+            if digits[k] < p:
+                break
+            digits[k] = 0
+            k += 1
+        yield
+
+
+def rref(m: FMatrix) -> RREF:
+    """Reduced row echelon form over F_p, by ``echelon``."""
+    rows = [list(r) for r in m.rows]
+    pivots = echelon(rows, m.field.p, m.field.inverses)
+    reduced = FMatrix(m.field, m.nrows, m.ncols, tuple(tuple(row) for row in rows))
+    return RREF(reduced, len(pivots), tuple(pivots))
+
+
+def coords_in_rowspace(basis: FMatrix, pivots: Sequence[int],
+                       vector: Sequence[int]) -> tuple[int, ...] | None:
+    """Coordinates of a vector against the rows of a reduced-echelon basis
+    with the given pivot columns, or None when it lies outside their span.
+    Rows of ``basis`` beyond ``len(pivots)`` are ignored."""
+    p = basis.field.p
+    coords = tuple(vector[c] % p for c in pivots)
+    recon = [0] * basis.ncols
+    for coeff, row in zip(coords, basis.rows):
+        if coeff:
+            for j, val in enumerate(row):
+                recon[j] = (recon[j] + coeff * val) % p
+    if tuple(recon) != tuple(v % p for v in vector):
+        return None
+    return coords
 
 
 def row_space(m: FMatrix) -> FMatrix:
@@ -340,21 +409,10 @@ def intersect_subspaces(a: FMatrix, b: FMatrix) -> FMatrix:
 
 
 def subspace_contains(outer: FMatrix, inner: FMatrix) -> bool:
-    """Whether rowspace(inner) is contained in rowspace(outer) (outer RREF)."""
+    """Whether rowspace(inner) is contained in rowspace(outer)."""
     res = rref(outer)
-    p = outer.field.p
-    pivots = res.pivots
-    for v in inner.rows:
-        recon = [0] * outer.ncols
-        for i, c in enumerate(pivots):
-            coeff = v[c] % p
-            if coeff:
-                row = res.matrix.rows[i]
-                for j, val in enumerate(row):
-                    recon[j] = (recon[j] + coeff * val) % p
-        if tuple(recon) != tuple(x % p for x in v):
-            return False
-    return True
+    return all(coords_in_rowspace(res.matrix, res.pivots, v) is not None
+               for v in inner.rows)
 
 
 def subspaces_between(lower: FMatrix, upper: FMatrix, e: int,
@@ -369,24 +427,13 @@ def subspaces_between(lower: FMatrix, upper: FMatrix, e: int,
     d = lower.ncols
     up = rref(upper)
     a = up.rank
-    upper_rows = up.matrix.rows[:a]
     if e > a or e < lower.nrows:
         return
-    # coordinates of lower inside upper
-    coords = []
-    p = field.p
-    for v in lower.rows:
-        cv = tuple(v[c] % p for c in up.pivots)
-        recon = [0] * d
-        for coeff, row in zip(cv, upper_rows):
-            if coeff:
-                for j, val in enumerate(row):
-                    recon[j] = (recon[j] + coeff * val) % p
-        if tuple(recon) != tuple(x % p for x in v):
-            return  # lower is not inside upper: nothing between them
-        coords.append(cv)
+    coords = [coords_in_rowspace(up.matrix, up.pivots, v) for v in lower.rows]
+    if None in coords:
+        return  # lower is not inside upper: nothing between them
     lower_in_upper = row_space(FMatrix.from_rows(field, coords, ncols=a))
-    big = FMatrix(field, a, d, upper_rows)
+    big = FMatrix(field, a, d, up.matrix.rows[:a])
     for w in enumerate_superspaces(lower_in_upper, e, cap=cap):
         lifted = w.mul(big)
         out = rref(lifted)

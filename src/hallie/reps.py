@@ -13,7 +13,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import (DecompositionBudgetExceeded, NegativeMultiplicity,
                      NonUnitriangularHomMatrix, NotClosed, ResourceBound)
-from .linalg import FMatrix, PrimeField, row_space, rref, solve_nullspace
+from .linalg import (FMatrix, PrimeField, coords_in_rowspace, echelon,
+                     odometer, row_space, rref, solve_nullspace)
 
 if TYPE_CHECKING:
     from .algebra import AlgebraSpec
@@ -360,21 +361,6 @@ class SubQuot:
     projection: dict[str, FMatrix]  # ambient coords -> quotient coords ((d-e) x d)
 
 
-def _coords_in_rowspace(basis: FMatrix, pivots: Sequence[int],
-                        vector: Sequence[int]) -> tuple[int, ...] | None:
-    """Coordinates of a vector against RREF basis rows, or None if outside."""
-    p = basis.field.p
-    coords = tuple(vector[c] % p for c in pivots)
-    recon = [0] * basis.ncols
-    for coeff, row in zip(coords, basis.rows):
-        if coeff:
-            for j, val in enumerate(row):
-                recon[j] = (recon[j] + coeff * val) % p
-    if tuple(recon) != tuple(v % p for v in vector):
-        return None
-    return coords
-
-
 def restrict_to_subtuple(m: Representation, u: SubspaceTuple):
     """The subrepresentation carried by an arrow-stable subspace tuple.
 
@@ -392,7 +378,7 @@ def restrict_to_subtuple(m: Representation, u: SubspaceTuple):
         cols = []
         for row in Bs.rows:
             image = m.maps[a.id].apply(row)
-            coords = _coords_in_rowspace(Bt, pivots[index[a.target]], image)
+            coords = coords_in_rowspace(Bt, pivots[index[a.target]], image)
             if coords is None:
                 raise NotClosed(f"arrow {a.id!r} leaves the subspace tuple")
             cols.append(coords)
@@ -501,8 +487,9 @@ def _is_indecomposable_certified(m: Representation, endos: list[dict[str, FMatri
                                  bound: int) -> bool:
     """Certificate that End(m)/rad is one-dimensional over F_p.
 
-    End is local with residue field F_p iff exactly p^(h-1) of its p^h
-    elements are non-invertible; this is checked by exact enumeration.
+    End is local with residue field F_p iff exactly p^h - p^(h-1) of its p^h
+    elements are invertible (the non-invertible ones, p^(h-1) of them, form
+    the radical); this is checked by exact enumeration.
     """
     h = len(endos)
     p = m.field.p
@@ -511,45 +498,7 @@ def _is_indecomposable_certified(m: Representation, endos: list[dict[str, FMatri
     if p ** h > bound:
         raise DecompositionBudgetExceeded(
             f"endomorphism certificate needs {p}^{h} enumerations")
-    non_invertible = 0
-    for f in _all_endomorphisms(m, endos):
-        if not hom_is_invertible(f):
-            non_invertible += 1
-    return non_invertible == p ** (h - 1)
-
-
-def _all_endomorphisms(m: Representation, basis: list[dict[str, FMatrix]]):
-    """All F_p-combinations of the basis, via an incremental odometer."""
-    p = m.field.p
-    verts = m.spec.vertices
-    current = {v: [list(row) for row in FMatrix.zeros(m.field, d, d).rows]
-               for v, d in zip(verts, m.dims)}
-    counters = [0] * len(basis)
-
-    def snapshot():
-        return {v: FMatrix(m.field, m.dims[i], m.dims[i],
-                           tuple(tuple(x % p for x in row) for row in current[v]))
-                for i, v in enumerate(verts)}
-
-    yield snapshot()
-    total = p ** len(basis)
-    for _ in range(total - 1):
-        idx = 0
-        while True:
-            counters[idx] += 1
-            for i, v in enumerate(verts):
-                b = basis[idx][v]
-                cur = current[v]
-                for r in range(b.nrows):
-                    brow = b.rows[r]
-                    crow = cur[r]
-                    for c in range(b.ncols):
-                        crow[c] = (crow[c] + brow[c]) % p
-            if counters[idx] < p:
-                break
-            counters[idx] = 0
-            idx += 1
-        yield snapshot()
+    return _count_invertible_combinations(m, endos) == p ** h - p ** (h - 1)
 
 
 def decompose_with_embeddings(m: Representation, seed: int = 0,
@@ -753,10 +702,7 @@ def aut_order(m: Representation, bound: int = 1_000_000) -> int:
     if p ** h > bound:
         raise ResourceBound(
             f"automorphism enumeration needs {p}^{h} endomorphisms > bound {bound}")
-    if h == 0:
-        count = 1  # zero representation: only the empty automorphism
-    else:
-        count = _count_invertible_combinations(m, endos)
+    count = _count_invertible_combinations(m, endos)
     if len(_AUT_CACHE) > 10_000:
         _AUT_CACHE.clear()
     _AUT_CACHE[cache_key] = count
@@ -768,68 +714,17 @@ def _count_invertible_combinations(m: Representation,
     """Walk all F_p-combinations of an endomorphism basis incrementally and
     count those invertible at every vertex."""
     p = m.field.p
+    inv = m.field.inverses
     verts = m.spec.vertices
-    field = m.field
     live = [i for i in range(len(verts)) if m.dims[i]]
-    current = [[[0] * m.dims[i] for _ in range(m.dims[i])] for i in range(len(verts))]
-    counters = [0] * len(basis)
+    current = [[[0] * d for _ in range(d)] for d in m.dims]
+    deltas = [[(i, r, c, val) for i in live
+               for r, row in enumerate(f[verts[i]].rows)
+               for c, val in enumerate(row) if val]
+              for f in basis]
     count = 0
-    total = p ** len(basis)
-    step = 0
-    while True:
-        ok = True
-        for i in live:
-            if _echelon_rank(field, [row[:] for row in current[i]]) != m.dims[i]:
-                ok = False
-                break
-        if ok:
+    for _ in odometer(current, deltas, p):
+        if all(len(echelon([row[:] for row in current[i]], p, inv)) == m.dims[i]
+               for i in live):
             count += 1
-        step += 1
-        if step == total:
-            break
-        idx = 0
-        while True:
-            counters[idx] += 1
-            for i in live:
-                b = basis[idx][verts[i]]
-                cur = current[i]
-                for r in range(b.nrows):
-                    brow = b.rows[r]
-                    crow = cur[r]
-                    for c in range(b.ncols):
-                        if brow[c]:
-                            crow[c] = (crow[c] + brow[c]) % p
-            if counters[idx] < p:
-                break
-            counters[idx] = 0
-            idx += 1
     return count
-
-
-def _echelon_rank(field: PrimeField, rows: list[list[int]]) -> int:
-    """Rank by in-place forward elimination on mutable rows."""
-    if not rows:
-        return 0
-    p = field.p
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] % p:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][c])
-        if inv != 1:
-            rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r

@@ -6,6 +6,7 @@ import hallie
 from hallie.algebra import Path, load_algebra, parse_algebra, projective_rep
 from hallie.errors import (CyclicQuiver, InadmissibleRelation,
                            NonSchurianWarning, ParseError)
+from hallie.knit import knit
 from hallie.reps import check_relations
 
 
@@ -18,6 +19,19 @@ A3_BOUND = doc(["1", "2", "3"],
                [{"id": "a", "from": "1", "to": "2"},
                 {"id": "b", "from": "2", "to": "3"}],
                [{"kind": "zero", "path": ["b", "a"]}])
+
+# 2x3 commutative ladder: 1 -a-> 2 -b-> 3 over 4 -c-> 5 -d-> 6, rungs u, v, w,
+# both squares commuting.  The three paths 1 -> 6 span one coset.
+LADDER = doc(["1", "2", "3", "4", "5", "6"],
+             [{"id": "a", "from": "1", "to": "2"},
+              {"id": "b", "from": "2", "to": "3"},
+              {"id": "c", "from": "4", "to": "5"},
+              {"id": "d", "from": "5", "to": "6"},
+              {"id": "u", "from": "1", "to": "4"},
+              {"id": "v", "from": "2", "to": "5"},
+              {"id": "w", "from": "3", "to": "6"}],
+             [{"kind": "commutativity", "lhs": ["v", "a"], "rhs": ["c", "u"]},
+              {"kind": "commutativity", "lhs": ["w", "b"], "rhs": ["d", "v"]}])
 
 
 class TestParsing:
@@ -123,6 +137,25 @@ class TestProjectives:
         # both length-2 routes hit the same basis coset with coefficient 1
         assert p1.maps["c"].rows == ((1,),)
         assert p1.maps["d"].rows == ((1,),)
+
+
+class TestCommutativeLadder:
+    def test_rewrites_land_on_basis_paths(self):
+        spec = parse_algebra(LADDER)
+        basis = set(spec.path_basis)
+        for path, terms in spec.rewrites.items():
+            assert all(q in basis for _, q in terms), path
+        dcu = Path(("d", "c", "u"), "1", "6")
+        assert spec.rewrites[Path(("w", "b", "a"), "1", "6")] == ((1, dcu),)
+        assert spec.rewrites[Path(("d", "v", "a"), "1", "6")] == ((1, dcu),)
+
+    def test_projectives_and_knit_over_f2(self):
+        spec = parse_algebra(LADDER)
+        for x in spec.vertices:
+            assert check_relations(projective_rep(spec, x, 2)), x
+        ar = knit(spec, 2)
+        dims = {v.rep.dims for v in ar.vertices}
+        assert all(projective_rep(spec, x, 2).dims in dims for x in spec.vertices)
 
 
 class TestProjectiveInvariants:

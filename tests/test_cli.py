@@ -163,6 +163,38 @@ class TestErrorPaths:
                               "--triple", "0-1/1-0/1-1", "--jobs", "-1")
         assert code == 2
 
+    def test_jobs_other_than_one_rejected(self, capsys):
+        code, _, err = invoke(capsys, "hall", "--algebra", algebra("a2"),
+                              "--triple", "0-1/1-0/1-1", "--jobs", "2")
+        assert code == 2
+        assert "--jobs" in err
+
+    def test_malformed_primes_rejected(self, capsys):
+        for flags in (("--primes", "x"), ("--primes", ""), ("--primes", " , ")):
+            code, _, err = invoke(capsys, "verify", "--algebra", algebra("a2"),
+                                  *flags)
+            assert code == 2, flags
+            assert err.startswith("error: "), flags
+        code, _, err = invoke(capsys, "hall", "--algebra", algebra("a2"),
+                              "--triple", "0-1/1-0/1-1",
+                              "--exclude-primes", "2,,y")
+        assert code == 2
+        assert "'y'" in err
+
+    def test_primes_rejected_where_unused(self, capsys):
+        for command, extra in (("lie", ()),
+                               ("hall", ("--triple", "0-1/1-0/1-1")),
+                               ("euler", ("--triple", "0-1/1-0/1-1"))):
+            for primes in ("4", "7,11,13"):
+                code, _, err = invoke(capsys, command, "--algebra", algebra("a2"),
+                                      "--primes", primes, *extra)
+                assert code == 2, (command, primes)
+                assert "--primes" in err
+        code, out, _ = invoke(capsys, "hall", "--algebra", algebra("a2"),
+                              "--triple", "0-1/1-0/1-1", "--primes", "auto")
+        assert code == 0
+        assert json.loads(out)["phi"] == [1]
+
 
 class TestCache:
     def test_cache_roundtrip(self, capsys, tmp_path, monkeypatch):

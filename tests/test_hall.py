@@ -244,10 +244,3 @@ class TestStrategyConfig:
         s2 = MultiplicityVector.unit("0-1-0")
         for fam in (fam_g, fam_h, fam_a):
             assert fam.count(s3, s2, p2, 3) == 1
-
-    def test_jobs_config_gives_same_polynomial(self, algebras):
-        fam1 = ARFamily(algebras["a2"], HallConfig(jobs=1))
-        fam4 = ARFamily(algebras["a2"], HallConfig(jobs=4))
-        s1 = MultiplicityVector.unit("1-0")
-        b = MultiplicityVector({"1-0": 2})
-        assert fam1.polynomial(s1, s1, b) == fam4.polynomial(s1, s1, b)

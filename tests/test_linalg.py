@@ -1,13 +1,15 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hallie.errors import ResourceBound
-from hallie.linalg import (FMatrix, PrimeField, enumerate_subspaces,
-                           enumerate_superspaces, gaussian_binomial,
-                           intersect_subspaces, preimage_subspace,
-                           quotient_projection, row_space, rref,
-                           solve_nullspace, subspace_contains,
+from hallie.linalg import (FMatrix, PrimeField, coords_in_rowspace, echelon,
+                           enumerate_subspaces, enumerate_superspaces,
+                           gaussian_binomial, intersect_subspaces, is_prime,
+                           odometer, preimage_subspace, quotient_projection,
+                           row_space, rref, solve_nullspace, subspace_contains,
                            subspaces_between)
 
 F2 = PrimeField(2)
@@ -21,7 +23,6 @@ def mat(field, rows, ncols=None):
 
 def gaussian_by_counting(d, e, p):
     # independent oracle: count echelon matrices by pivot pattern
-    import itertools
     total = 0
     for pivots in itertools.combinations(range(d), e):
         free = sum(1 for i in range(e) for j in range(pivots[i] + 1, d)
@@ -41,6 +42,13 @@ class TestPrimeField:
             f = PrimeField(p)
             for a in range(1, p):
                 assert (a * f.inv(a)) % p == 1
+                assert f.inverses[a] == f.inv(a)
+
+
+def test_is_prime_below_100():
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+              61, 67, 71, 73, 79, 83, 89, 97]
+    assert [n for n in range(-3, 100) if is_prime(n)] == primes
 
 
 class TestRref:
@@ -70,6 +78,73 @@ class TestRref:
         twice = rref(once.matrix)
         assert once.matrix == twice.matrix
         assert once.rank == twice.rank
+
+
+class TestEchelon:
+    @given(st.sampled_from([2, 3, 5, 7]),
+           st.integers(0, 5), st.integers(1, 5), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_rref_and_is_reduced(self, p, nr, nc, data):
+        field = PrimeField(p)
+        original = [[data.draw(st.integers(0, p - 1)) for _ in range(nc)]
+                    for _ in range(nr)]
+        rows = [row[:] for row in original]
+        pivots = echelon(rows, p, field.inverses)
+        res = rref(FMatrix(field, nr, nc, tuple(map(tuple, original))))
+        assert tuple(map(tuple, rows)) == res.matrix.rows
+        assert tuple(pivots) == res.pivots
+        assert len(pivots) == res.rank
+        # reduced echelon form: leading 1s on increasing pivot columns, each
+        # pivot column a unit vector, zero rows below the rank
+        assert list(pivots) == sorted(set(pivots))
+        for i, c in enumerate(pivots):
+            assert rows[i][:c] == [0] * c and rows[i][c] == 1
+            assert all(rows[j][c] == 0 for j in range(nr) if j != i)
+        assert all(not any(row) for row in rows[len(pivots):])
+        # same row space: every input row has coordinates in the result
+        reduced = FMatrix(field, nr, nc, tuple(map(tuple, rows)))
+        for row in original:
+            coords = coords_in_rowspace(reduced, pivots, row)
+            assert coords is not None
+            assert tuple(sum(x * rows[i][j] for i, x in enumerate(coords)) % p
+                         for j in range(nc)) == tuple(row)
+
+    def test_coords_outside_span(self):
+        basis = mat(F3, [[1, 0, 2]])
+        assert coords_in_rowspace(basis, [0], (2, 0, 1)) == (2,)
+        assert coords_in_rowspace(basis, [0], (1, 1, 2)) is None
+
+
+class TestOdometer:
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("h", [0, 1, 2, 3])
+    def test_visits_each_combination_once(self, p, h):
+        # basis element k is the unit vector e_k of a 1 x h matrix, so the
+        # matrix at each step spells out the combination's digits
+        mats = [[[0] * h]]
+        seen = [tuple(mats[0][0]) for _ in odometer(
+            mats, [[(0, 0, k, 1)] for k in range(h)], p)]
+        assert len(seen) == p ** h
+        assert sorted(seen) == sorted(itertools.product(range(p), repeat=h))
+
+    def test_dependent_basis_gives_combination_sums(self):
+        # two matrices, a basis with overlapping and repeated entries
+        p = 3
+        basis = [[(0, 0, 0, 1), (1, 1, 0, 2)],
+                 [(0, 0, 0, 2), (0, 0, 1, 1)],
+                 [(1, 0, 1, 1), (1, 1, 0, 1)]]
+        mats = [[[0, 0]], [[0, 0], [0, 0]]]
+        seen = []
+        for _ in odometer(mats, basis, p):
+            seen.append(tuple(tuple(map(tuple, m)) for m in mats))
+        want = []
+        for xs in itertools.product(range(p), repeat=len(basis)):
+            acc = [[[0, 0]], [[0, 0], [0, 0]]]
+            for x, flat in zip(xs, basis):
+                for i, r, c, v in flat:
+                    acc[i][r][c] = (acc[i][r][c] + x * v) % p
+            want.append(tuple(tuple(map(tuple, m)) for m in acc))
+        assert sorted(seen) == sorted(want)
 
 
 class TestNullspace:

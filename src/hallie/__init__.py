@@ -5,13 +5,12 @@ from importlib import resources
 
 from .algebra import AlgebraSpec, load_algebra, parse_algebra, projective_rep
 from .hall import (ARFamily, HallConfig, HallPolynomial,
-                   check_oracle_equivalence, euler_characteristic,
-                   hall_number_grass, hall_number_hom, hall_polynomial)
+                   check_oracle_equivalence, hall_number_grass, hall_number_hom)
 from .knit import (ARQuiver, KnitConfig, ar_sequence, check_field_independence,
                    knit)
 from .liealg import (GradedVector, LieTable, RootSystem, compare_with_root_system,
-                     enumerate_module_classes, euler_lie_table, euler_product,
-                     hall_lie_table, hall_product, jacobi_check, positive_roots,
+                     enumerate_module_classes, euler_lie_table, hall_lie_table,
+                     hall_product, jacobi_check, positive_roots,
                      verify_isomorphism)
 from .linalg import (FMatrix, PrimeField, enumerate_subspaces, gaussian_binomial,
                      rref, solve_nullspace)

@@ -71,9 +71,6 @@ class Quiver:
                 return a
         raise KeyError(arrow_id)
 
-    def vertex_index(self, v: str) -> int:
-        return self.vertices.index(v)
-
 
 @dataclass(frozen=True)
 class Relation:

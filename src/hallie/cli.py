@@ -273,7 +273,7 @@ def cmd_lie(args) -> int:
     spec, digest = _load_spec(args.algebra)
     family = _family(spec, args)
     kt = hall_lie_table(family)
-    lt = euler_lie_table(family)
+    lt = euler_lie_table(kt)
     doc = _provenance(args, digest, [])
     doc["hall_table"] = kt.to_doc()
     doc["euler_table"] = lt.to_doc()
@@ -304,7 +304,7 @@ def cmd_verify(args) -> int:
                                   f"identical over primes {list(fi.primes)}"))
 
     kt = hall_lie_table(family)
-    lt = euler_lie_table(family)
+    lt = euler_lie_table(kt)
     checks.append(CheckResult("lie closure", True,
                               "commutators supported on indecomposables"))
     iso = verify_isomorphism(kt, lt)

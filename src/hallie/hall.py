@@ -2,13 +2,15 @@
 
 The Hall number of a triple (n1, n2, m) is the number of submodules
 U of m with U isomorphic to n1 and m/U isomorphic to n2.  Two independent
-counting strategies are provided:
+counting routes are provided:
 
 * ``hall_number_grass`` enumerates arrow-stable subspace tuples directly
   (in quiver-topological vertex order, so closure constraints prune the
-  enumeration) and identifies the resulting sub/quotient pair.
+  enumeration) and identifies the resulting sub/quotient pair.  It is the
+  route ``ARFamily`` counts with.
 * ``hall_number_hom`` enumerates homomorphisms n1 -> m, keeps the injective
-  ones with the right cokernel class, and divides by |Aut(n1)|.
+  ones with the right cokernel class, and divides by |Aut(n1)|.  It is the
+  independent oracle of ``check_oracle_equivalence``.
 
 Interpolation: counts are taken at the first D+2 primes not on the excluded
 list, where D is the dimension of the ambient product of Grassmannians;
@@ -41,10 +43,6 @@ from .reps import (MultiplicityVector, Representation, SubspaceTuple, aut_order,
 
 @dataclass(frozen=True)
 class HallConfig:
-    strategy: str = "grass"          # "grass" | "hom" | "auto"
-    grass_cap: int = 10_000_000      # enumerated subspace tuples per count
-    hom_bound: int = 1_000_000       # max p**dim Hom(n1, m) enumerated
-    aut_bound: int = 1_000_000       # max p**dim End(n1) enumerated
     excluded_primes: tuple[int, ...] = ()
     seed: int = 0
     max_vertices: int = 512
@@ -180,11 +178,8 @@ def hall_number_grass(ar: ARQuiver, n1: Representation, n2: Representation,
         return 0
     if n2.total_dim and hom_dim(m, n2) == 0:
         return 0
-    H = ar.hom_matrix()
-    a_mult = identify(n1, ar)
-    c_mult = identify(n2, ar)
-    expected_sub = _expected_hom_vector(ar, H, a_mult)
-    expected_quot = _expected_hom_vector(ar, H, c_mult)
+    expected_sub, _ = ar.hom_vectors(identify(n1, ar))
+    expected_quot, _ = ar.hom_vectors(identify(n2, ar))
     count = 0
     for tup in closed_subspace_tuples(m, n1.dims, cap=cap):
         sub, _ = restrict_to_subtuple(m, tup)
@@ -194,18 +189,6 @@ def hall_number_grass(ar: ARQuiver, n1: Representation, n2: Representation,
         if matches_class(quot, ar, expected_quot):
             count += 1
     return count
-
-
-def _expected_hom_vector(ar: ARQuiver, H: list[list[int]],
-                         mv: MultiplicityVector) -> list[int]:
-    """dim Hom(X_i, class) for each basis vertex, from the Hom matrix."""
-    idx = {v.id: k for k, v in enumerate(ar.vertices)}
-    out = [0] * len(ar.vertices)
-    for vid, count in mv.items():
-        j = idx[vid]
-        for i in range(len(out)):
-            out[i] += count * H[i][j]
-    return out
 
 
 def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
@@ -227,8 +210,7 @@ def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
         raise ResourceBound(
             f"hom enumeration needs {p}^{h} maps > bound {hom_bound}")
     aut = aut_order(n1, bound=aut_bound)
-    H = ar.hom_matrix()
-    expected_quot = _expected_hom_vector(ar, H, identify(n2, ar))
+    expected_quot, _ = ar.hom_vectors(identify(n2, ar))
     verdict_by_image: dict[tuple, bool] = {}
     verts = m.spec.vertices
     field = m.field
@@ -429,22 +411,6 @@ class ARFamily:
     def class_dims(self, mv: MultiplicityVector) -> tuple[int, ...]:
         return self.reference_quiver().class_dim_vector(mv)
 
-    def _hom_vectors(self, mv: MultiplicityVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(dim Hom(X_k, class))_k and (dim Hom(class, X_k))_k from the
-        cached Hom matrix; both are field-independent."""
-        ar = self.reference_quiver()
-        H = ar.hom_matrix()
-        idx = {v.id: k for k, v in enumerate(ar.vertices)}
-        n = len(ar.vertices)
-        into = [0] * n
-        outof = [0] * n
-        for vid, count in mv.items():
-            j = idx[vid]
-            for k in range(n):
-                into[k] += count * H[k][j]
-                outof[k] += count * H[j][k]
-        return tuple(into), tuple(outof)
-
     def _possibly_nonzero(self, a: MultiplicityVector, c: MultiplicityVector,
                           b: MultiplicityVector) -> bool:
         """Exact necessary conditions for a nonzero Hall number, from
@@ -453,10 +419,12 @@ class ARFamily:
             dim Hom(X, a) <= dim Hom(X, b) <= dim Hom(X, a) + dim Hom(X, c)
             dim Hom(c, X) <= dim Hom(b, X) <= dim Hom(a, X) + dim Hom(c, X)
 
-        for every indecomposable X, all read off the cached Hom matrix."""
-        into_a, outof_a = self._hom_vectors(a)
-        into_c, outof_c = self._hom_vectors(c)
-        into_b, outof_b = self._hom_vectors(b)
+        for every indecomposable X, all read off the cached Hom matrix (the
+        Hom dimensions are field-independent)."""
+        ar = self.reference_quiver()
+        into_a, outof_a = ar.hom_vectors(a)
+        into_c, outof_c = ar.hom_vectors(c)
+        into_b, outof_b = ar.hom_vectors(b)
         for k in range(len(into_b)):
             if not into_a[k] <= into_b[k] <= into_a[k] + into_c[k]:
                 return False
@@ -480,15 +448,7 @@ class ARFamily:
         n1 = self.module(p, a)
         n2 = self.module(p, c)
         m = self.module(p, b)
-        strategy = self.config.strategy
-        if strategy == "auto":
-            strategy = ("hom" if p ** hom_dim(n1, m) <= self.config.hom_bound
-                        else "grass")
-        if strategy == "hom":
-            value = hall_number_hom(ar, n1, n2, m, hom_bound=self.config.hom_bound,
-                                    aut_bound=self.config.aut_bound)
-        else:
-            value = hall_number_grass(ar, n1, n2, m, cap=self.config.grass_cap)
+        value = hall_number_grass(ar, n1, n2, m)
         self._counts[key] = value
         return value
 
@@ -646,17 +606,3 @@ def _oracle_equivalence_slice(args) -> tuple[int, int, int, list]:
                                 (p, a_mv.render(), c_mv.render(), b.render(),
                                  grass, hom))
     return compared, nonzero, skipped, mismatches
-
-
-def hall_polynomial(family: ARFamily, a: MultiplicityVector,
-                    c: MultiplicityVector, b: MultiplicityVector) -> HallPolynomial:
-    """The integer polynomial whose value at p is the Hall number over F_p
-    (submodule class a, quotient class c, ambient class b)."""
-    return family.polynomial(a, c, b)
-
-
-def euler_characteristic(family: ARFamily, a: MultiplicityVector,
-                         c: MultiplicityVector, b: MultiplicityVector) -> int:
-    """Euler characteristic of the complex submodule variety of the triple,
-    computed as the Hall polynomial evaluated at 1."""
-    return family.euler(a, c, b)

@@ -37,7 +37,6 @@ from .reps import (Representation, SubspaceTuple, check_relations, compose_homs,
 class KnitConfig:
     max_vertices: int = 512
     seed: int = 0
-    decompose_draws: int = 64
 
 
 @dataclass
@@ -113,6 +112,20 @@ class ARQuiver:
                 total[k] += count * rep.dims[k]
         return tuple(total)
 
+    def hom_vectors(self, mv) -> tuple[list[int], list[int]]:
+        """(dim Hom(X_k, class))_k and (dim Hom(class, X_k))_k over the
+        knitted basis, read off the cached Hom matrix."""
+        H = self.hom_matrix()
+        n = len(self.vertices)
+        into = [0] * n
+        outof = [0] * n
+        for vid, count in mv.items():
+            j = self.order.index(vid)
+            for k in range(n):
+                into[k] += count * H[k][j]
+                outof[k] += count * H[j][k]
+        return into, outof
+
     def class_module(self, mv) -> Representation:
         parts = []
         for v in self.vertices:
@@ -170,8 +183,7 @@ def knit(spec: AlgebraSpec, p: int, config: KnitConfig | None = None) -> ARQuive
             rad_summands[x] = []
             rad_ids[x] = []
             continue
-        pieces = decompose_with_embeddings(rad, seed=config.seed,
-                                           draws=config.decompose_draws)
+        pieces = decompose_with_embeddings(rad, seed=config.seed)
         with_embed = [(rep, compose_homs(incl, emb)) for rep, emb in pieces]
         ids = [rep.dim_id() for rep, _ in with_embed]
         if len(set(ids)) != len(ids):

@@ -1,24 +1,29 @@
 """Lie structure constants on the indecomposable basis.
 
-Two associative products are formed degree by degree on module classes
+The degenerate Hall product is formed degree by degree on module classes
 (multiplicity vectors over the knitted vertex ids):
 
-* the degenerate Hall product:  u_c . u_a = sum_b phi(a, c, b)(1) u_b,
-  where phi counts submodules of class a in b with quotient of class c;
-* the Euler product:  v_m . v_n = sum_x chi(m, n, x) v_x, where chi is the
-  Euler characteristic of the variety of submodules of class m in x with
-  quotient of class n, computed as phi(m, n, x) evaluated at 1.
+    u_c . u_a = sum_b phi(a, c, b)(1) u_b,
 
-Note the opposite roles: the *right* factor of the Hall product is the
-submodule class, the *left* factor of the Euler product is.  Commutators of
-unit classes close on unit classes; both bracket tables are compared through
-the sign twist eps(x) = (-1)^(total dim x - 1), and against the positive
-roots of the underlying graph when the algebra is hereditary.
+where phi counts submodules of class a in b with quotient of class c.  The
+Euler product v_m . v_n = sum_x chi(m, n, x) v_x takes chi, the Euler
+characteristic of the variety of submodules of class m in x with quotient
+of class n, as phi(m, n, x) evaluated at 1.  The roles are opposite: the
+*right* factor of the Hall product is the submodule class, the *left*
+factor of the Euler product is.  So the Euler table is derived from the
+Hall polynomials, as the negated Hall table, and not recomputed.
+
+Commutators of unit classes close on unit classes.  Both bracket tables are
+compared through the sign twist eps(x) = (-1)^(total dim x - 1); with the
+derived Euler table that comparison checks the identity
+eps(x + y) = -eps(x) eps(y) on every nonzero bracket.  The Hall table is
+also compared against the positive roots of the underlying graph when the
+algebra is hereditary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import NotClosedOnIndecomposables, NotFiniteType
@@ -111,26 +116,12 @@ def hall_product(family: ARFamily, c: MultiplicityVector,
     return GradedVector(terms)
 
 
-def euler_product(family: ARFamily, m: MultiplicityVector,
-                  n: MultiplicityVector) -> GradedVector:
-    """v_m . v_n: coefficients are Euler characteristics of submodule
-    varieties; m is the submodule class."""
-    ar = family.reference_quiver()
-    d = tuple(x + y for x, y in zip(ar.class_dim_vector(m), ar.class_dim_vector(n)))
-    terms = []
-    for x in enumerate_module_classes(ar, d):
-        value = family.euler(m, n, x)
-        if value:
-            terms.append((x, value))
-    return GradedVector(terms)
-
-
-def graded_multiply(family: ARFamily, left: GradedVector, right: GradedVector,
-                    product=hall_product) -> GradedVector:
+def graded_multiply(family: ARFamily, left: GradedVector,
+                    right: GradedVector) -> GradedVector:
     out = GradedVector()
     for lm, lc in left.terms.items():
         for rm, rc in right.terms.items():
-            out = out + product(family, lm, rm).scale(lc * rc)
+            out = out + hall_product(family, lm, rm).scale(lc * rc)
     return out
 
 
@@ -172,15 +163,16 @@ class LieTable:
         }
 
 
-def _lie_table(family: ARFamily, product) -> LieTable:
+def hall_lie_table(family: ARFamily) -> LieTable:
+    """Brackets of unit classes as commutators of the Hall product."""
     ar = family.reference_quiver()
     ids = [v.id for v in ar.vertices]
     units = {vid: MultiplicityVector.unit(vid) for vid in ids}
     entries: dict[tuple[str, str], tuple[str, int] | None] = {}
     for i, xi in enumerate(ids):
         for xj in ids[i + 1:]:
-            commutator = (product(family, units[xi], units[xj])
-                          - product(family, units[xj], units[xi]))
+            commutator = (hall_product(family, units[xi], units[xj])
+                          - hall_product(family, units[xj], units[xi]))
             entry = None
             for mv, coeff in commutator.terms.items():
                 unit = mv.unit_id()
@@ -199,14 +191,16 @@ def _lie_table(family: ARFamily, product) -> LieTable:
                     entries)
 
 
-def hall_lie_table(family: ARFamily) -> LieTable:
-    """Brackets of unit classes as commutators of the Hall product."""
-    return _lie_table(family, hall_product)
+def euler_lie_table(kt: LieTable) -> LieTable:
+    """Brackets of unit classes as commutators of the Euler product, read
+    off the Hall table ``kt``.
 
-
-def euler_lie_table(family: ARFamily) -> LieTable:
-    """Brackets of unit classes as commutators of the Euler product."""
-    return _lie_table(family, euler_product)
+    Both products sum phi(sub, quot, x)(1) over the classes x with the
+    roles of the factors swapped, v_m . v_n = u_n . u_m, so every
+    commutator changes sign: [m, n]_E = -[m, n]_H."""
+    return replace(kt, entries={
+        pair: None if entry is None else (entry[0], -entry[1])
+        for pair, entry in kt.entries.items()})
 
 
 def verify_isomorphism(kt: LieTable, lt: LieTable) -> Report:

@@ -305,11 +305,6 @@ def row_space(m: FMatrix) -> FMatrix:
     return FMatrix(m.field, res.rank, m.ncols, res.matrix.rows[:res.rank])
 
 
-def column_space(m: FMatrix) -> FMatrix:
-    """Canonical basis of the column space, as rows of the result."""
-    return row_space(m.transpose())
-
-
 def solve_nullspace(m: FMatrix) -> list[tuple[int, ...]]:
     """A basis of the right kernel {v : m v = 0}, one vector per free column."""
     res = rref(m)

@@ -44,9 +44,6 @@ class Representation:
             checked[a.id] = m
         self.maps = checked
 
-    def dim_at(self, vertex: str) -> int:
-        return self.dims[self.spec.vertices.index(vertex)]
-
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
@@ -319,8 +316,7 @@ def _rref_pivots(basis: FMatrix) -> list[int]:
 class SubspaceTuple:
     """Per-vertex subspace bases inside a target representation.
 
-    Bases must be canonical reduced-echelon matrices (use
-    ``make_subspace_tuple`` to canonicalize arbitrary spanning rows).
+    Bases must be canonical reduced-echelon matrices.
     """
 
     target: Representation
@@ -338,19 +334,6 @@ class SubspaceTuple:
 
     def key(self) -> tuple:
         return tuple(b.rows for b in self.bases)
-
-
-def make_subspace_tuple(m: Representation, bases: Sequence[FMatrix]) -> SubspaceTuple:
-    """Build a subspace tuple from arbitrary spanning rows per vertex."""
-    return SubspaceTuple(m, tuple(row_space(b) for b in bases))
-
-
-def full_tuple(m: Representation) -> SubspaceTuple:
-    return SubspaceTuple(m, tuple(FMatrix.identity(m.field, d) for d in m.dims))
-
-
-def zero_tuple(m: Representation) -> SubspaceTuple:
-    return SubspaceTuple(m, tuple(FMatrix.zeros(m.field, 0, d) for d in m.dims))
 
 
 @dataclass(frozen=True)
@@ -450,16 +433,6 @@ def sub_quotient(m: Representation, u: SubspaceTuple) -> SubQuot:
     sub, inclusion = restrict_to_subtuple(m, u)
     quot, projection = quotient_by_subtuple(m, u)
     return SubQuot(sub, quot, inclusion, projection)
-
-
-def image_tuple(m: Representation, f: Mapping[str, FMatrix],
-                source: Representation) -> SubspaceTuple:
-    """Canonical subspace tuple spanned by the image of a homomorphism
-    source -> m (f given in vertex-indexed matrices)."""
-    bases = []
-    for i, v in enumerate(m.spec.vertices):
-        bases.append(row_space(f[v].transpose()))
-    return SubspaceTuple(m, tuple(bases))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ def pipeline(name: str) -> dict:
         family = ARFamily(spec)
         result = {"spec": spec, "family": family}
         result["hall_table"] = hall_lie_table(family)
-        result["euler_table"] = euler_lie_table(family)
+        result["euler_table"] = euler_lie_table(result["hall_table"])
         _PIPELINES[name] = result
     return _PIPELINES[name]
 

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import os
+
+import pytest
 
 import hallie
 from hallie.cli import run
@@ -98,6 +101,20 @@ class TestLieCommand:
                               "--format", "text")
         assert code == 0
         assert "[0-1, 1-0] = -1 * 1-1" in out
+
+    # sha256 of the JSON stdout of ``lie``; any change to either table, to
+    # the provenance block or to the formatting shows up here
+    @pytest.mark.parametrize("name,digest", [
+        ("a3", "4fe22756a78cdebdb146a7bb42a012a93084a40034605c37d100be94574a3caf"),
+        ("a3_bound",
+         "28e587603418084bd81cdb52db9e253049a17012e37be12889a78d03ee0f5813"),
+        ("csquare",
+         "f8cd7fb9dd5f9f44340b7825d6938cc52d0d4fbabce14438ac638ec49c97f0a1"),
+    ])
+    def test_json_digest(self, capsys, name, digest):
+        code, out, _ = invoke(capsys, "lie", "--algebra", algebra(name))
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestVerifyCommand:

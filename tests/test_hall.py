@@ -234,13 +234,14 @@ class TestOracleEquivalenceReport:
 
 
 class TestStrategyConfig:
-    def test_hom_strategy_matches_grass(self, algebras):
-        fam_g = ARFamily(algebras["a3_bound"], HallConfig(strategy="grass"))
-        fam_h = ARFamily(algebras["a3_bound"], HallConfig(strategy="hom"))
-        fam_a = ARFamily(algebras["a3_bound"], HallConfig(strategy="auto"))
-        ar = fam_g.reference_quiver()
-        s3 = MultiplicityVector.unit("0-0-1")
-        p2 = MultiplicityVector.unit("0-1-1")
-        s2 = MultiplicityVector.unit("0-1-0")
-        for fam in (fam_g, fam_h, fam_a):
-            assert fam.count(s3, s2, p2, 3) == 1
+    """The subspace route ARFamily counts with against the hom oracle."""
+
+    def test_hom_strategy_matches_grass(self, families):
+        fam = families["a3_bound"]
+        s3, s2, p2 = (MultiplicityVector.unit(vid)
+                      for vid in ("0-0-1", "0-1-0", "0-1-1"))
+        n1, n2, m = (fam.module(3, mv) for mv in (s3, s2, p2))
+        ar = fam.quiver(3)
+        assert hall_number_grass(ar, n1, n2, m) == 1
+        assert hall_number_hom(ar, n1, n2, m) == 1
+        assert fam.count(s3, s2, p2, 3) == 1

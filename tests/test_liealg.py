@@ -1,12 +1,13 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from hallie.errors import NotFiniteType
 from hallie.liealg import (GradedVector, compare_with_root_system,
                            enumerate_module_classes, euler_lie_table,
-                           euler_product, hall_lie_table, hall_product,
-                           jacobi_check, positive_roots, verify_isomorphism)
+                           hall_lie_table, hall_product, jacobi_check,
+                           positive_roots, verify_isomorphism)
 from hallie.reps import MultiplicityVector
 
 S1 = MultiplicityVector.unit("1-0")
@@ -61,12 +62,6 @@ class TestProducts:
             assert hall_product(fam, ZERO, mv) == GradedVector([(mv, 1)])
             assert hall_product(fam, mv, ZERO) == GradedVector([(mv, 1)])
 
-    def test_euler_product(self, families):
-        fam = families["a2"]
-        assert euler_product(fam, S2, S1) == GradedVector([(P1, 1), (SPLIT, 1)])
-        assert euler_product(fam, S1, S2) == GradedVector([(SPLIT, 1)])
-        assert euler_product(fam, ZERO, P1) == GradedVector([(P1, 1)])
-
     def test_associativity_small(self, families):
         from hallie.liealg import graded_multiply
         fam = families["a2"]
@@ -84,7 +79,7 @@ class TestLieTables:
         assert nonzero == {("0-1", "1-0"): ("1-1", -1)}
 
     def test_a2_euler_table(self, families):
-        lt = euler_lie_table(families["a2"])
+        lt = euler_lie_table(hall_lie_table(families["a2"]))
         nonzero = {pair: entry for pair, entry in lt.entries.items() if entry}
         assert nonzero == {("0-1", "1-0"): ("1-1", 1)}
         # antisymmetry through the accessor
@@ -123,7 +118,7 @@ class TestVerification:
                                       "a3_bound", "csquare"])
     def test_sign_twist_and_jacobi(self, families, name):
         kt = hall_lie_table(families[name])
-        lt = euler_lie_table(families[name])
+        lt = euler_lie_table(kt)
         assert verify_isomorphism(kt, lt).ok, name
         assert jacobi_check(kt).ok, name
         assert jacobi_check(lt).ok, name
@@ -131,6 +126,28 @@ class TestVerification:
     def test_jacobi_triple_counts(self, families):
         assert len(jacobi_check(hall_lie_table(families["a2"])).checks) == 1
         assert len(jacobi_check(hall_lie_table(families["a3"])).checks) == 20
+
+
+class TestChecksCanFail:
+    """Each check verify prints must reject a corrupted table."""
+
+    def test_jacobi_rejects_doubled_bracket(self, families):
+        kt = hall_lie_table(families["a3"])
+        pairs = kt.nonzero_pairs()
+        assert pairs
+        for pair in pairs:
+            target, coeff = kt.entries[pair]
+            bad = replace(kt, entries={**kt.entries, pair: (target, 2 * coeff)})
+            assert len(jacobi_check(bad).failures()) == 1, pair
+
+    def test_sign_twist_rejects_negated_entry(self, families):
+        kt = hall_lie_table(families["a3"])
+        lt = euler_lie_table(kt)
+        for i, j in lt.nonzero_pairs():
+            target, coeff = lt.entries[(i, j)]
+            bad = replace(lt, entries={**lt.entries, (i, j): (target, -coeff)})
+            failures = verify_isomorphism(kt, bad).failures()
+            assert [c.name for c in failures] == [f"pair ({i}, {j})"]
 
 
 KNOWN_D4_ROOTS = {

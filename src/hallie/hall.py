@@ -13,11 +13,15 @@ counting routes are provided:
   independent oracle of ``check_oracle_equivalence``.
 
 Interpolation: counts are taken at the first D+2 primes not on the excluded
-list, where D is the dimension of the ambient product of Grassmannians;
-Lagrange interpolation over exact rationals on the first D+1 of them must
-give integer coefficients, and the held-out last prime must reproduce the
-interpolated value exactly.  On a validation failure the smallest prime used
-is excluded once and the whole protocol retried.
+list, where D is the degree bound min(Σ e(d−e), hom(a,b) − end(a),
+hom(b,c) − end(c)) of ``ARFamily._interpolate`` (the ambient Grassmannian
+dimension, or the tight bound from counting injections and surjections,
+whichever is smaller); Lagrange interpolation over exact rationals on the
+first D+1 of them must give integer coefficients, and the held-out last
+prime must reproduce the interpolated value exactly.  On a validation
+failure the smallest prime used is excluded once and the whole protocol
+retried.  The counts of an accepted polynomial must also respect the free
+action of the scalars on injections and surjections.
 """
 
 from __future__ import annotations
@@ -375,9 +379,14 @@ class ARFamily:
         return self.quiver(first_primes(1, self.config.excluded_primes)[0])
 
     def _cache_path(self, p: int) -> str | None:
+        """Entry name keyed on everything the knit depends on: the tool
+        version, the splitting seed, the vertex cap and the algebra text."""
         if not self.cache_dir:
             return None
-        digest = hashlib.sha256(self.spec.source_text.encode("utf-8")).hexdigest()
+        from . import __version__
+        key = json.dumps([__version__, self.config.seed, self.config.max_vertices,
+                          self.spec.source_text])
+        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
         return os.path.join(self.cache_dir, f"{digest}_{p}.json")
 
     def _load_cached(self, p: int) -> ARQuiver | None:
@@ -411,27 +420,6 @@ class ARFamily:
     def class_dims(self, mv: MultiplicityVector) -> tuple[int, ...]:
         return self.reference_quiver().class_dim_vector(mv)
 
-    def _possibly_nonzero(self, a: MultiplicityVector, c: MultiplicityVector,
-                          b: MultiplicityVector) -> bool:
-        """Exact necessary conditions for a nonzero Hall number, from
-        left-exactness of Hom applied to 0 -> M(a) -> M(b) -> M(c) -> 0:
-
-            dim Hom(X, a) <= dim Hom(X, b) <= dim Hom(X, a) + dim Hom(X, c)
-            dim Hom(c, X) <= dim Hom(b, X) <= dim Hom(a, X) + dim Hom(c, X)
-
-        for every indecomposable X, all read off the cached Hom matrix (the
-        Hom dimensions are field-independent)."""
-        ar = self.reference_quiver()
-        into_a, outof_a = ar.hom_vectors(a)
-        into_c, outof_c = ar.hom_vectors(c)
-        into_b, outof_b = ar.hom_vectors(b)
-        for k in range(len(into_b)):
-            if not into_a[k] <= into_b[k] <= into_a[k] + into_c[k]:
-                return False
-            if not outof_c[k] <= outof_b[k] <= outof_a[k] + outof_c[k]:
-                return False
-        return True
-
     # -- counting ----------------------------------------------------------
 
     def count(self, a: MultiplicityVector, c: MultiplicityVector,
@@ -441,9 +429,6 @@ class ARFamily:
         key = (a, c, b, p)
         if key in self._counts:
             return self._counts[key]
-        if not self._possibly_nonzero(a, c, b):
-            self._counts[key] = 0
-            return 0
         ar = self.quiver(p)
         n1 = self.module(p, a)
         n2 = self.module(p, c)
@@ -465,16 +450,46 @@ class ARFamily:
 
     def _interpolate(self, a, c, b, excluded: tuple[int, ...],
                      retried: bool = False) -> HallPolynomial:
+        """Interpolate F^b_{a,c} from counts at D+2 primes, where
+
+            D = min(Σ e(d−e), hom(a,b) − end(a), hom(b,c) − end(c)),
+
+        every term read off the cached Hom matrix (hom(a,b) = dim Hom(a,b),
+        end(a) = dim End(a); these dimensions are field-independent).
+
+        Why D bounds the degree.  Over F_q, each submodule U ≅ a of b with
+        b/U ≅ c is the image of exactly |Aut a| injective maps a -> b, so
+        F(q)·|Aut a| ≤ q^{hom(a,b)}.  End(a) modulo its radical is a product
+        of matrix algebras M_n(F_q), so |Aut a| ≥ κ·q^{end(a)} with κ > 0
+        independent of q (κ ≥ 0.28^k for k isotypic parts).  Hence
+        F(q) ≤ q^{hom(a,b) − end(a)}/κ, and the Hall polynomial, which exists
+        for representation-directed algebras and takes the value F at
+        infinitely many primes, has degree ≤ hom(a,b) − end(a).  The kernels
+        of the |Aut c|·F(q) surjections b -> c with kernel ≅ a give
+        hom(b,c) − end(c) the same way.  The Grassmannian dimension Σ e(d−e)
+        bounds the degree too, so the min never needs more primes than it.
+
+        The counts of an accepted polynomial are checked against the free
+        action of F_q^* on those injections and surjections (none is zero
+        when a and c are nonzero): (q−1)·F(q) ≤ q^{hom(a,b)} − 1 and
+        (q−1)·F(q) ≤ q^{hom(b,c)} − 1, else ``InconsistentCounts``.
+        """
         e = self.class_dims(a)
         ce = self.class_dims(c)
         d = self.class_dims(b)
         if tuple(x + y for x, y in zip(e, ce)) != d:
             return HallPolynomial((0,), a, c, b, 0, (), (), None, None, excluded)
-        if not self._possibly_nonzero(a, c, b):
+        ar = self.reference_quiver()
+        hom_a, hom_c, hom_b = (ar.hom_vectors(mv) for mv in (a, c, b))
+        if not _possibly_nonzero(hom_a, hom_c, hom_b):
             # count provably zero over every field: no embedding/projection
             # can shrink the Hom vectors
             return HallPolynomial((0,), a, c, b, 0, (), (), None, None, excluded)
-        degree_bound = sum(ex * (dx - ex) for ex, dx in zip(e, d))
+        hom_ab = _pair(ar, a, hom_b[0])
+        hom_bc = _pair(ar, c, hom_b[1])
+        degree_bound = min(sum(ex * (dx - ex) for ex, dx in zip(e, d)),
+                           hom_ab - _pair(ar, a, hom_a[0]),
+                           hom_bc - _pair(ar, c, hom_c[1]))
         primes = first_primes(degree_bound + 2, excluded)
         counts = [self.count(a, c, b, p) for p in primes]
         nodes, held_out = primes[:-1], primes[-1]
@@ -499,6 +514,14 @@ class ARFamily:
                     f"gives {poly.evaluate(held_out)} (after retry)")
             return self._interpolate(a, c, b, excluded + (min(primes),),
                                      retried=True)
+        if not a.is_zero() and not c.is_zero():
+            free = min(hom_ab, hom_bc)
+            for p, count in zip(primes, counts):
+                if (p - 1) * count > p ** free - 1:
+                    raise InconsistentCounts(
+                        f"count {count} at p={p} for triple ({a.render()}, "
+                        f"{c.render()}, {b.render()}) exceeds (p^{free} - 1)/(p - 1), "
+                        f"the orbits of F_p^* on nonzero maps")
         return poly
 
     def euler(self, a: MultiplicityVector, c: MultiplicityVector,
@@ -507,6 +530,32 @@ class ARFamily:
 
     def known_polynomials(self) -> list[HallPolynomial]:
         return list(self._polynomials.values())
+
+
+def _pair(ar: ARQuiver, mv: MultiplicityVector, vector: Sequence[int]) -> int:
+    """Σ_{x∈mv} n_x · vector[x]: with the into-vector of M (from
+    ``ar.hom_vectors``) this is dim Hom(mv, M), with its out-of vector
+    dim Hom(M, mv)."""
+    return sum(n * vector[ar.order.index(x)] for x, n in mv.items())
+
+
+def _possibly_nonzero(hom_a, hom_c, hom_b) -> bool:
+    """Exact necessary conditions for a nonzero Hall number, from
+    left-exactness of Hom applied to 0 -> M(a) -> M(b) -> M(c) -> 0:
+
+        dim Hom(X, a) <= dim Hom(X, b) <= dim Hom(X, a) + dim Hom(X, c)
+        dim Hom(c, X) <= dim Hom(b, X) <= dim Hom(a, X) + dim Hom(c, X)
+
+    for every indecomposable X.  Each argument is the (into, out-of) pair
+    of ``ARQuiver.hom_vectors`` (the Hom dimensions are field-independent).
+    """
+    (into_a, outof_a), (into_c, outof_c), (into_b, outof_b) = hom_a, hom_c, hom_b
+    for k in range(len(into_b)):
+        if not into_a[k] <= into_b[k] <= into_a[k] + into_c[k]:
+            return False
+        if not outof_c[k] <= outof_b[k] <= outof_a[k] + outof_c[k]:
+            return False
+    return True
 
 
 @dataclass

@@ -223,3 +223,20 @@ class TestCache:
         code, second, _ = invoke(capsys, "knit", "--algebra", algebra("d4"))
         assert code == 0
         assert first == second
+
+    def test_cache_key_covers_knit_settings(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("HALLIE_CACHE_DIR", str(tmp_path))
+        code, _, _ = invoke(capsys, "knit", "--algebra", algebra("a3"))
+        assert code == 0
+        # a cap the knit cannot meet must not be served from the warm cache
+        code, _, _ = invoke(capsys, "knit", "--algebra", algebra("a3"),
+                            "--max-vertices", "3")
+        assert code == 3
+        code, _, _ = invoke(capsys, "knit", "--algebra", algebra("a3"),
+                            "--seed", "1")
+        assert code == 0
+        monkeypatch.setattr(hallie, "__version__", "0.0.0-other")
+        code, _, _ = invoke(capsys, "knit", "--algebra", algebra("a3"))
+        assert code == 0
+        cached = [f for f in os.listdir(tmp_path) if f.endswith(".json")]
+        assert len(cached) == 3

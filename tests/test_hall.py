@@ -2,10 +2,13 @@ import itertools
 
 import pytest
 
+from hallie import hall
+from hallie.errors import InconsistentCounts
 from hallie.hall import (ARFamily, HallConfig, closed_subspace_tuples,
                          first_primes, hall_number_grass, hall_number_hom,
                          lagrange_interpolate)
 from hallie.knit import knit
+from hallie.liealg import hall_lie_table
 from hallie.reps import (MultiplicityVector, direct_sum, simple_rep,
                          sub_quotient)
 
@@ -245,3 +248,45 @@ class TestStrategyConfig:
         assert hall_number_grass(ar, n1, n2, m) == 1
         assert hall_number_hom(ar, n1, n2, m) == 1
         assert fam.count(s3, s2, p2, 3) == 1
+
+
+class TestDegreeBound:
+    """The tight bound min(Σ e(d−e), hom(a,b) − end(a), hom(b,c) − end(c))
+    against the Grassmannian bound Σ e(d−e) it replaced."""
+
+    @pytest.mark.parametrize("name", ["a3", "a3_bound", "csquare"])
+    def test_tight_bound_matches_grassmannian_route(self, families, name):
+        fam = families[name]
+        hall_lie_table(fam)
+        interpolated = 0
+        for poly in fam.known_polynomials():
+            e = fam.class_dims(poly.sub_class)
+            d = fam.class_dims(poly.total_class)
+            grass_bound = sum(ex * (dx - ex) for ex, dx in zip(e, d))
+            assert poly.degree_bound <= grass_bound
+            if not poly.primes:
+                continue  # settled by the dimension law or the Hom shortcut
+            interpolated += 1
+            primes = first_primes(grass_bound + 2, poly.excluded_primes)
+            counts = [fam.count(poly.sub_class, poly.quot_class,
+                                poly.total_class, p) for p in primes]
+            coeffs = [int(c) for c in lagrange_interpolate(primes, counts)]
+            while len(coeffs) > 1 and coeffs[-1] == 0:
+                coeffs.pop()
+            assert tuple(coeffs) == poly.coefficients
+            if not poly.is_zero():
+                assert len(poly.coefficients) - 1 == poly.degree_bound
+        assert interpolated > 0
+
+    def test_count_above_free_orbit_bound_raises(self, algebras, monkeypatch):
+        """Every count of one triple inflated by 10 still fits a line, so
+        the held-out prime agrees; only the free action of F_p^* on the
+        injections S1 -> S1^2 (at most (p^2 - 1)/(p - 1) of them up to
+        scalars) rules the counts out."""
+        real = hall.hall_number_grass
+        monkeypatch.setattr(hall, "hall_number_grass",
+                            lambda ar, n1, n2, m: real(ar, n1, n2, m) + 10)
+        fam = ARFamily(algebras["a2"])
+        s1 = MultiplicityVector.unit("1-0")
+        with pytest.raises(InconsistentCounts, match="exceeds"):
+            fam.polynomial(s1, s1, MultiplicityVector({"1-0": 2}))

@@ -6,11 +6,19 @@ counting routes are provided:
 
 * ``hall_number_grass`` enumerates arrow-stable subspace tuples directly
   (in quiver-topological vertex order, so closure constraints prune the
-  enumeration) and identifies the resulting sub/quotient pair.  It is the
+  enumeration) and classifies the resulting sub/quotient pair.  It compares
+  Hom dimensions only on the separating set of each expected class: the
+  knitted vertices whose Hom dimensions, read off the Hom matrix, tell that
+  class apart from every other class of its dimension vector.  It is the
   route ``ARFamily`` counts with.
-* ``hall_number_hom`` enumerates homomorphisms n1 -> m, keeps the injective
-  ones with the right cokernel class, and divides by |Aut(n1)|.  It is the
-  independent oracle of ``check_oracle_equivalence``.
+* ``hall_number_hom`` enumerates homomorphisms n1 -> m, one per orbit of
+  the nonzero scalars, keeps the injective ones with the right cokernel
+  class (compared on every knitted vertex), and divides by |Aut(n1)|.  It
+  is the independent oracle of ``check_oracle_equivalence``.
+
+Both routes ask the knitted ``ARQuiver`` for what it memoizes: the classes
+of each dimension vector, the class of each module they identify and the
+separating set of each class.
 
 Interpolation: counts are taken at the first D+2 primes not on the excluded
 list, where D is the degree bound min(Σ e(d−e), hom(a,b) − end(a),
@@ -38,10 +46,10 @@ from .errors import (InconsistentCounts, NonIntegralCoefficients,
                      NonIntegralOrbitCount, ResourceBound)
 from .knit import ARQuiver, KnitConfig, ar_from_doc, ar_to_doc, knit
 from .linalg import (FMatrix, echelon, gaussian_binomial, intersect_subspaces,
-                     is_prime, odometer, preimage_subspace, row_space,
+                     is_prime, preimage_subspace, row_space, scalar_orbits,
                      subspaces_between)
 from .reps import (MultiplicityVector, Representation, SubspaceTuple, aut_order,
-                   hom_dim, hom_space, identify, matches_class,
+                   check_relations, hom_dim, hom_space, matches_class,
                    quotient_by_subtuple, restrict_to_subtuple)
 
 
@@ -175,15 +183,30 @@ def _dim_law_holds(n1: Representation, n2: Representation,
 def hall_number_grass(ar: ARQuiver, n1: Representation, n2: Representation,
                       m: Representation, cap: int = 10_000_000) -> int:
     """Count submodules of m isomorphic to n1 with quotient isomorphic to n2
-    by direct enumeration of stable subspace tuples."""
+    by direct enumeration of stable subspace tuples.
+
+    Each sub and quotient is classified by ``matches_class`` on the
+    separating set of its expected class only (``ARQuiver.separating_set``),
+    not on every knitted vertex.  Why that decides the class:
+
+    * a sub or quotient of dimension vector e is a module over the algebra;
+    * every module is a direct sum of knitted indecomposables, because the
+      knitted component is finite and therefore the whole AR quiver
+      (Auslander), so the module is one of ``ar.module_classes(e)``;
+    * the Hom matrix is unitriangular, so distinct classes have distinct
+      into-vectors (dim Hom(X_k, -))_k, and every other class of dimension
+      vector e differs from class a somewhere on a's separating set;
+    * hence a module of dimension vector e that agrees with class a on a's
+      separating set is of class a.
+    """
     if not _dim_law_holds(n1, n2, m):
         return 0
     if n1.total_dim and hom_dim(n1, m) == 0:
         return 0
     if n2.total_dim and hom_dim(m, n2) == 0:
         return 0
-    expected_sub, _ = ar.hom_vectors(identify(n1, ar))
-    expected_quot, _ = ar.hom_vectors(identify(n2, ar))
+    expected_sub = _separating_coordinates(ar, ar.class_of(n1))
+    expected_quot = _separating_coordinates(ar, ar.class_of(n2))
     count = 0
     for tup in closed_subspace_tuples(m, n1.dims, cap=cap):
         sub, _ = restrict_to_subtuple(m, tup)
@@ -195,6 +218,13 @@ def hall_number_grass(ar: ARQuiver, n1: Representation, n2: Representation,
     return count
 
 
+def _separating_coordinates(ar: ARQuiver,
+                            mv: MultiplicityVector) -> list[tuple[int, int]]:
+    """(k, dim Hom(X_k, mv)) over the separating set of mv."""
+    into, _ = ar.hom_vectors(mv)
+    return [(k, into[k]) for k in ar.separating_set(mv)]
+
+
 def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
                     m: Representation, hom_bound: int = 1_000_000,
                     aut_bound: int = 1_000_000) -> int:
@@ -202,8 +232,13 @@ def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
     cokernel isomorphic to n2, divided by |Aut(n1)|.
 
     The hom space is walked incrementally (one basis-element addition per
-    step); the cokernel verdict is cached per image subspace, so the work
-    per injective map is one echelon reduction per vertex.
+    step), one map per orbit of the nonzero scalars, each counted with the
+    orbit size: scaling by a nonzero scalar keeps injectivity and the image,
+    and acts freely on nonzero maps.  The cokernel verdict is cached per
+    image subspace, so the work per injective map is one echelon reduction
+    per vertex.  The cokernel is classified on every knitted vertex, which
+    keeps this route independent of the separating sets of the subspace
+    route.
     """
     if not _dim_law_holds(n1, n2, m):
         return 0
@@ -214,7 +249,7 @@ def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
         raise ResourceBound(
             f"hom enumeration needs {p}^{h} maps > bound {hom_bound}")
     aut = aut_order(n1, bound=aut_bound)
-    expected_quot, _ = ar.hom_vectors(identify(n2, ar))
+    expected_quot = list(enumerate(ar.hom_vectors(ar.class_of(n2))[0]))
     verdict_by_image: dict[tuple, bool] = {}
     verts = m.spec.vertices
     field = m.field
@@ -234,7 +269,7 @@ def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
               for f in basis]
 
     count = 0
-    for _ in odometer(current, deltas, p):
+    for weight in scalar_orbits(current, deltas, p):
         key_parts = []
         for i in live:
             rows = [row[:] for row in current[i]]
@@ -254,7 +289,7 @@ def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
                 verdict = matches_class(quot, ar, expected_quot)
                 verdict_by_image[key] = verdict
             if verdict:
-                count += 1
+                count += weight
     if count % aut:
         raise NonIntegralOrbitCount(
             f"{count} injective maps not divisible by |Aut| = {aut}")
@@ -390,14 +425,29 @@ class ARFamily:
         return os.path.join(self.cache_dir, f"{digest}_{p}.json")
 
     def _load_cached(self, p: int) -> ARQuiver | None:
+        """The cached quiver over F_p, re-checked before it is trusted: the
+        prime, each vertex id against its dimension vector, the relations on
+        every vertex and a unitriangular Hom matrix.  An entry that cannot
+        be decoded or fails a check is ignored, so the caller knits afresh
+        and overwrites it."""
         path = self._cache_path(p)
         if not path or not os.path.exists(path):
             return None
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                return ar_from_doc(self.spec, json.load(fh))
-        except Exception:
-            return None  # unreadable cache entries are recomputed
+                ar = ar_from_doc(self.spec, json.load(fh))
+        except (ValueError, KeyError, TypeError):
+            return None  # undecodable or misshapen entry
+        if ar.field.p != p:
+            return None
+        if not all(v.id == v.rep.dim_id() and check_relations(v.rep)
+                   for v in ar.vertices):
+            return None
+        H = ar.hom_matrix()
+        if any(H[i][j] != (1 if i == j else 0)
+               for i in range(len(H)) for j in range(i + 1)):
+            return None
+        return ar
 
     def _store_cached(self, p: int, ar: ARQuiver) -> None:
         path = self._cache_path(p)

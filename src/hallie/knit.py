@@ -25,12 +25,13 @@ from typing import Mapping, Sequence
 
 from .algebra import AlgebraSpec, projective_rep
 from .errors import (EtaNotInjective, FieldDependenceDetected, IsProjective,
-                     NotDirected, NotRepresentationFinite)
+                     NonUnitriangularHomMatrix, NotDirected,
+                     NotRepresentationFinite)
 from .linalg import FMatrix, PrimeField, hstack, row_space, vstack
-from .reps import (Representation, SubspaceTuple, check_relations, compose_homs,
-                   decompose_with_embeddings, direct_sum, find_isomorphism,
-                   hom_dim, restrict_to_subtuple, sub_quotient,
-                   summand_inclusions)
+from .reps import (MultiplicityVector, Representation, SubspaceTuple,
+                   check_relations, compose_homs, decompose_with_embeddings,
+                   direct_sum, find_isomorphism, hom_dim, identify,
+                   restrict_to_subtuple, sub_quotient, summand_inclusions)
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,15 @@ class ARSequence:
 
 
 class ARQuiver:
-    """The knitted Auslander-Reiten quiver with explicit irreducible maps."""
+    """The knitted Auslander-Reiten quiver with explicit irreducible maps.
+
+    Besides the Hom matrix, a quiver memoizes what Hall counting asks of it
+    again and again: the module classes of each dimension vector
+    (``module_classes``), the class ``identify`` found for each module it
+    was asked about (``class_of``) and the separating set of each class
+    (``separating_set``).  The memos belong to this quiver, so quivers over
+    different primes never share them.
+    """
 
     def __init__(self, spec: AlgebraSpec, field: PrimeField,
                  vertices: list[ARVertex], arrows: list[ARArrow],
@@ -86,6 +95,9 @@ class ARQuiver:
         self.by_id = {v.id: v for v in vertices}
         self.order = [v.id for v in vertices]
         self._hom_matrix: list[list[int]] | None = None
+        self._classes: dict[tuple[int, ...], tuple[MultiplicityVector, ...]] = {}
+        self._identified: dict[Representation, MultiplicityVector] = {}
+        self._separating: dict[MultiplicityVector, tuple[int, ...]] = {}
 
     def vertex(self, vertex_id: str) -> ARVertex:
         return self.by_id[vertex_id]
@@ -125,6 +137,78 @@ class ARQuiver:
                 into[k] += count * H[k][j]
                 outof[k] += count * H[j][k]
         return into, outof
+
+    def module_classes(self, d: Sequence[int]) -> tuple[MultiplicityVector, ...]:
+        """All multiplicity vectors whose weighted dimension vector equals d,
+        enumerated deterministically (bounded knapsack in the knitted
+        order) and memoized per dimension vector."""
+        target = tuple(d)
+        classes = self._classes.get(target)
+        if classes is not None:
+            return classes
+        verts = self.vertices
+        out: list[MultiplicityVector] = []
+
+        def recurse(pos: int, remaining: tuple[int, ...],
+                    acc: list[tuple[str, int]]) -> None:
+            if pos == len(verts):
+                if all(x == 0 for x in remaining):
+                    out.append(MultiplicityVector(acc))
+                return
+            v = verts[pos]
+            dims = v.rep.dims
+            top = min((remaining[i] // dims[i] for i in range(len(dims)) if dims[i]),
+                      default=0)
+            for count in range(top + 1):
+                nxt = tuple(remaining[i] - count * dims[i] for i in range(len(dims)))
+                if any(x < 0 for x in nxt):
+                    continue
+                acc.append((v.id, count))
+                recurse(pos + 1, nxt, acc)
+                acc.pop()
+
+        recurse(0, target, [])
+        self._classes[target] = classes = tuple(out)
+        return classes
+
+    def class_of(self, m: Representation) -> MultiplicityVector:
+        """``identify(m, self)``, memoized per module."""
+        mv = self._identified.get(m)
+        if mv is None:
+            mv = self._identified[m] = identify(m, self)
+        return mv
+
+    def separating_set(self, mv: MultiplicityVector) -> tuple[int, ...]:
+        """Knitted vertex indices k at which dim Hom(X_k, -), read off the
+        Hom matrix, tells the class mv apart from every other class of its
+        dimension vector; memoized per class.
+
+        Built greedily: each step takes the coordinate that separates mv
+        from the most classes not yet told apart (the lowest index on a
+        tie), so the most telling coordinates come first.  Each step
+        separates at least one more class, else
+        ``NonUnitriangularHomMatrix`` is raised: two classes with one
+        into-vector mean the Hom matrix is not unitriangular.
+        """
+        sep = self._separating.get(mv)
+        if sep is not None:
+            return sep
+        into = self.hom_vectors(mv)[0]
+        rivals = [self.hom_vectors(other)[0]
+                  for other in self.module_classes(self.class_dim_vector(mv))
+                  if other != mv]
+        chosen = []
+        while rivals:
+            split = [sum(r[k] != into[k] for r in rivals) for k in range(len(into))]
+            k = max(range(len(into)), key=split.__getitem__)
+            if not split[k]:
+                raise NonUnitriangularHomMatrix(
+                    f"class {mv.render()} shares its Hom vector with another "
+                    "class of its dimension vector")
+            chosen.append(k)
+            rivals = [r for r in rivals if r[k] == into[k]]
+        self._separating[mv] = sep = tuple(chosen)
+        return sep
 
     def class_module(self, mv) -> Representation:
         parts = []

@@ -75,31 +75,11 @@ class GradedVector:
 
 def enumerate_module_classes(ar: ARQuiver, d: Sequence[int]) -> list[MultiplicityVector]:
     """All multiplicity vectors whose weighted dimension vector equals d,
-    enumerated deterministically (bounded knapsack in the knitted order)."""
-    verts = ar.vertices
-    target = tuple(d)
-    out: list[MultiplicityVector] = []
+    enumerated deterministically (bounded knapsack in the knitted order).
 
-    def recurse(pos: int, remaining: tuple[int, ...],
-                acc: list[tuple[str, int]]) -> None:
-        if pos == len(verts):
-            if all(x == 0 for x in remaining):
-                out.append(MultiplicityVector(acc))
-            return
-        v = verts[pos]
-        dims = v.rep.dims
-        top = min((remaining[i] // dims[i] for i in range(len(dims)) if dims[i]),
-                  default=0)
-        for count in range(top + 1):
-            nxt = tuple(remaining[i] - count * dims[i] for i in range(len(dims)))
-            if any(x < 0 for x in nxt):
-                continue
-            acc.append((v.id, count))
-            recurse(pos + 1, nxt, acc)
-            acc.pop()
-
-    recurse(0, target, [])
-    return out
+    The knapsack runs once per dimension vector and quiver
+    (``ARQuiver.module_classes``); each call returns a fresh list."""
+    return list(ar.module_classes(d))
 
 
 def hall_product(family: ARFamily, c: MultiplicityVector,

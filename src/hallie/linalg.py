@@ -274,6 +274,31 @@ def odometer(mats: list[list[list[int]]],
         yield
 
 
+def scalar_orbits(mats: list[list[list[int]]],
+                  deltas: Sequence[Sequence[tuple[int, int, int, int]]],
+                  p: int) -> Iterator[int]:
+    """Walk one F_p-combination per orbit of the scalars F_p^*, yielding the
+    orbit size with ``mats`` holding the representative.
+
+    Same arguments as ``odometer``.  The zero combination comes first, with
+    weight 1.  Then, for each k, basis element k is added once and
+    ``odometer`` walks elements 0..k-1 from where the matrices stand: the
+    offset already there lies in the span of elements 0..k-1, so the walk
+    still visits each combination with coefficient 1 at k and 0 above k
+    exactly once.  Those are the representatives of the nonzero orbits, each
+    of size p - 1, so the weights sum to p**h.  A caller counting a property
+    that scaling by a nonzero scalar preserves counts the same total as a
+    full ``odometer`` walk with a (p - 1)-th of the steps.
+    """
+    yield 1
+    for k, delta in enumerate(deltas):
+        for i, r, c, v in delta:
+            row = mats[i][r]
+            row[c] = (row[c] + v) % p
+        for _ in odometer(mats, deltas[:k], p):
+            yield p - 1
+
+
 def rref(m: FMatrix) -> RREF:
     """Reduced row echelon form over F_p, by ``echelon``."""
     rows = [list(r) for r in m.rows]

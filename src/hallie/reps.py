@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from .errors import (DecompositionBudgetExceeded, NegativeMultiplicity,
                      NonUnitriangularHomMatrix, NotClosed, ResourceBound)
 from .linalg import (FMatrix, PrimeField, coords_in_rowspace, echelon,
-                     odometer, row_space, rref, solve_nullspace)
+                     row_space, rref, scalar_orbits, solve_nullspace)
 
 if TYPE_CHECKING:
     from .algebra import AlgebraSpec
@@ -650,12 +650,20 @@ def identify(m: Representation, ar: "ARQuiver") -> MultiplicityVector:
 
 
 def matches_class(m: Representation, ar: "ARQuiver",
-                  expected_h: Sequence[int]) -> bool:
-    """Whether m has exactly the given Hom-dimension vector against the
-    knitted basis.  Aborts at the first mismatch; since the Hom matrix is
-    unitriangular, a full match pins down the isomorphism class."""
-    for v, want in zip(ar.vertices, expected_h):
-        if hom_dim(v.rep, m) != want:
+                  expected: Sequence[tuple[int, int]]) -> bool:
+    """Whether dim Hom(X_k, m) equals the given value at each given
+    coordinate: ``expected`` lists pairs (k, dim Hom(X_k, class)) over
+    knitted vertices X_k.  Aborts at the first mismatch.
+
+    Over all coordinates a full match pins down the isomorphism class,
+    since the Hom matrix is unitriangular; the hom oracle classifies that
+    way.  The subspace route passes only the class's separating set
+    (``ARQuiver.separating_set``), which pins the class down among modules
+    of its dimension vector.
+    """
+    vertices = ar.vertices
+    for k, want in expected:
+        if hom_dim(vertices[k].rep, m) != want:
             return False
     return True
 
@@ -684,8 +692,10 @@ def aut_order(m: Representation, bound: int = 1_000_000) -> int:
 
 def _count_invertible_combinations(m: Representation,
                                    basis: list[dict[str, FMatrix]]) -> int:
-    """Walk all F_p-combinations of an endomorphism basis incrementally and
-    count those invertible at every vertex."""
+    """Count the F_p-combinations of an endomorphism basis that are
+    invertible at every vertex, walking one per orbit of the nonzero
+    scalars (scaling keeps invertibility) and weighting it by the orbit
+    size."""
     p = m.field.p
     inv = m.field.inverses
     verts = m.spec.vertices
@@ -696,8 +706,8 @@ def _count_invertible_combinations(m: Representation,
                for c, val in enumerate(row) if val]
               for f in basis]
     count = 0
-    for _ in odometer(current, deltas, p):
+    for weight in scalar_orbits(current, deltas, p):
         if all(len(echelon([row[:] for row in current[i]], p, inv)) == m.dims[i]
                for i in live):
-            count += 1
+            count += weight
     return count

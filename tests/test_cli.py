@@ -240,3 +240,27 @@ class TestCache:
         assert code == 0
         cached = [f for f in os.listdir(tmp_path) if f.endswith(".json")]
         assert len(cached) == 3
+
+    @pytest.mark.parametrize("fault", ["zeroed_matrix", "truncated_json"])
+    def test_bad_cache_entry_is_recomputed(self, capsys, tmp_path, monkeypatch,
+                                           fault):
+        """A zeroed matrix makes the cached 1-1 decomposable (dim End = 2);
+        it must be rejected on load, not reported as a failed verification."""
+        code, uncached, _ = invoke(capsys, "verify", "--algebra", algebra("a2"))
+        assert code == 0
+        monkeypatch.setenv("HALLIE_CACHE_DIR", str(tmp_path))
+        assert invoke(capsys, "verify", "--algebra", algebra("a2"))[0] == 0
+        [entry] = [f for f in os.listdir(tmp_path) if f.endswith("_2.json")]
+        path = tmp_path / entry
+        good = path.read_text()
+        if fault == "zeroed_matrix":
+            doc = json.loads(good)
+            maps = doc["representations"]["1-1"]
+            maps["a"] = [[0] * len(row) for row in maps["a"]]
+            path.write_text(json.dumps(doc))
+        else:
+            path.write_text(good[:len(good) // 2])
+        code, out, err = invoke(capsys, "verify", "--algebra", algebra("a2"))
+        assert (code, err) == (0, "")
+        assert out == uncached
+        assert json.loads(path.read_text()) == json.loads(good)  # rewritten

@@ -9,8 +9,9 @@ from hallie.hall import (ARFamily, HallConfig, closed_subspace_tuples,
                          lagrange_interpolate)
 from hallie.knit import knit
 from hallie.liealg import hall_lie_table
-from hallie.reps import (MultiplicityVector, direct_sum, simple_rep,
-                         sub_quotient)
+from hallie.reps import (MultiplicityVector, direct_sum, hom_dim, identify,
+                         matches_class, quotient_by_subtuple,
+                         restrict_to_subtuple, simple_rep, sub_quotient)
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +133,43 @@ class TestOracleAgreement:
                             grass = hall_number_grass(ar, n1, n2, m)
                             hom = hall_number_hom(ar, n1, n2, m)
                             assert grass == hom, (a_mv, c_mv, b, p)
+
+
+def _count_on_all_coordinates(ar, n1, n2, m):
+    """The subspace route with every sub and quotient classified on all
+    knitted vertices: the reference for the separating sets.  A zero Hom
+    space settles a count before any classification, on both sides."""
+    if hom_dim(n1, m) == 0 or hom_dim(m, n2) == 0:
+        return 0
+    want_sub = list(enumerate(ar.hom_vectors(identify(n1, ar))[0]))
+    want_quot = list(enumerate(ar.hom_vectors(identify(n2, ar))[0]))
+    count = 0
+    for tup in closed_subspace_tuples(m, n1.dims):
+        sub, _ = restrict_to_subtuple(m, tup)
+        if matches_class(sub, ar, want_sub):
+            quot, _ = quotient_by_subtuple(m, tup)
+            count += matches_class(quot, ar, want_quot)
+    return count
+
+
+class TestSeparatingSets:
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("name", ["a3", "a3_bound", "csquare", "d4"])
+    def test_bracket_triples_match_full_classification(self, algebras, name, p):
+        """Every triple of a bracket [x, y] (sub x, quotient y, any class b
+        of the summed dimension vector) counted by ``hall_number_grass`` on
+        separating sets and by ``matches_class`` over all coordinates."""
+        ar = knit(algebras[name], p)
+        nonzero = 0
+        for x, y in itertools.permutations(ar.vertices, 2):
+            d = tuple(i + j for i, j in zip(x.rep.dims, y.rep.dims))
+            for b in ar.module_classes(d):
+                m = ar.class_module(b)
+                want = _count_on_all_coordinates(ar, x.rep, y.rep, m)
+                assert hall_number_grass(ar, x.rep, y.rep, m) == want, \
+                    (x.id, y.id, b.render())
+                nonzero += want != 0
+        assert nonzero > 0
 
 
 class TestInterpolation:
@@ -290,3 +328,15 @@ class TestDegreeBound:
         s1 = MultiplicityVector.unit("1-0")
         with pytest.raises(InconsistentCounts, match="exceeds"):
             fam.polynomial(s1, s1, MultiplicityVector({"1-0": 2}))
+
+
+class TestCacheLoad:
+    def test_only_decode_and_shape_errors_are_swallowed(self, algebras, tmp_path,
+                                                        monkeypatch):
+        ARFamily(algebras["a2"], cache_dir=str(tmp_path)).quiver(2)
+
+        def broken(spec, doc):
+            raise RuntimeError("not a decode error")
+        monkeypatch.setattr(hall, "ar_from_doc", broken)
+        with pytest.raises(RuntimeError):
+            ARFamily(algebras["a2"], cache_dir=str(tmp_path)).quiver(2)

@@ -1,12 +1,20 @@
+import importlib
 import json
 
 import pytest
 
 from hallie.algebra import parse_algebra
-from hallie.errors import IsProjective, NotRepresentationFinite
+from hallie.errors import (IsProjective, NonUnitriangularHomMatrix,
+                           NotRepresentationFinite)
 from hallie.knit import (KnitConfig, ar_from_doc, ar_sequence, ar_to_doc,
                          check_field_independence, knit)
-from hallie.reps import check_relations, hom_dim
+from hallie.liealg import enumerate_module_classes
+from hallie.reps import MultiplicityVector, check_relations, hom_dim
+
+knit_module = importlib.import_module("hallie.knit")  # hallie.knit is the function
+
+P1 = MultiplicityVector.unit("1-1")
+SPLIT = MultiplicityVector({"1-0": 1, "0-1": 1})
 
 EXPECTED_VERTEX_COUNTS = {
     "point": 1,
@@ -179,3 +187,52 @@ class TestSerialization:
             assert v.rep == w.rep
         for z in ar.meshes:
             ar_sequence(back, z)
+
+
+class TestQuiverMemos:
+    def test_class_list_is_a_fresh_copy(self, algebras):
+        ar = knit(algebras["a2"], 2)
+        first = enumerate_module_classes(ar, (1, 1))
+        assert first == [P1, SPLIT]
+        first.append(MultiplicityVector.zero())
+        first.reverse()
+        assert enumerate_module_classes(ar, (1, 1)) == [P1, SPLIT]
+
+    def test_memos_are_per_quiver(self, algebras):
+        ar2, ar3 = knit(algebras["a2"], 2), knit(algebras["a2"], 3)
+        assert ar2.module_classes((1, 1)) is not ar3.module_classes((1, 1))
+        m3 = ar3.vertex("1-1").rep
+        assert ar3.class_of(m3) == P1
+        with pytest.raises(ValueError):
+            ar2.class_of(m3)  # an F_3 module is not served from ar3's memo
+
+    def test_class_of_identifies_once(self, algebras, monkeypatch):
+        calls = []
+        real = knit_module.identify
+        monkeypatch.setattr(knit_module, "identify",
+                            lambda m, ar: calls.append(m) or real(m, ar))
+        ar = knit(algebras["a2"], 3)
+        m = ar.class_module(SPLIT)
+        assert ar.class_of(m) == ar.class_of(m) == SPLIT
+        assert len(calls) == 1
+
+    def test_separating_sets_separate(self, knits):
+        for name, ar in knits.items():
+            for mv in ar.module_classes((1,) * len(ar.spec.vertices)):
+                into = ar.hom_vectors(mv)[0]
+                sep = ar.separating_set(mv)
+                for other in ar.module_classes(ar.class_dim_vector(mv)):
+                    if other != mv:
+                        rival = ar.hom_vectors(other)[0]
+                        assert any(rival[k] != into[k] for k in sep), (name, mv)
+
+    def test_shared_hom_vector_raises(self, algebras):
+        """identify checks only the diagonal of the Hom matrix; a doctored
+        entry below it gives P1 and S1 + S2 one into-vector, and building
+        either separating set must fail instead of looping."""
+        ar = knit(algebras["a2"], 2)
+        ar.hom_matrix()[ar.order.index("1-0")][ar.order.index("1-1")] = 1
+        assert ar.hom_vectors(P1)[0] == ar.hom_vectors(SPLIT)[0]
+        for mv in (P1, SPLIT):
+            with pytest.raises(NonUnitriangularHomMatrix):
+                ar.separating_set(mv)

@@ -9,8 +9,8 @@ from hallie.linalg import (FMatrix, PrimeField, coords_in_rowspace, echelon,
                            enumerate_subspaces, enumerate_superspaces,
                            gaussian_binomial, intersect_subspaces, is_prime,
                            odometer, preimage_subspace, quotient_projection,
-                           row_space, rref, solve_nullspace, subspace_contains,
-                           subspaces_between)
+                           row_space, rref, scalar_orbits, solve_nullspace,
+                           subspace_contains, subspaces_between)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -145,6 +145,43 @@ class TestOdometer:
                     acc[i][r][c] = (acc[i][r][c] + x * v) % p
             want.append(tuple(tuple(map(tuple, m)) for m in acc))
         assert sorted(seen) == sorted(want)
+
+
+class TestScalarOrbits:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("h", [0, 1, 2, 3])
+    def test_one_combination_per_orbit(self, p, h):
+        mats = [[[0] * h]]
+        seen = {}
+        for weight in scalar_orbits(mats, [[(0, 0, k, 1)] for k in range(h)], p):
+            combo = tuple(mats[0][0])
+            assert combo not in seen
+            seen[combo] = weight
+        assert sum(seen.values()) == p ** h
+        assert seen[(0,) * h] == 1
+        for combo in itertools.product(range(p), repeat=h):
+            if any(combo):
+                # exactly one nonzero multiple of each nonzero combination
+                orbit = {tuple((lam * x) % p for x in combo) for lam in range(1, p)}
+                assert [seen[c] for c in orbit if c in seen] == [p - 1]
+
+    def test_dependent_basis_weights_match_odometer(self):
+        # the support of a combination is scale-invariant, so weighted
+        # counts per support equal the full walk's counts
+        p = 3
+        basis = [[(0, 0, 0, 1), (1, 1, 0, 2)],
+                 [(0, 0, 0, 2), (0, 0, 1, 1)],
+                 [(1, 0, 1, 1), (1, 1, 0, 1)]]
+
+        def counts_by_support(walker):
+            mats = [[[0, 0]], [[0, 0], [0, 0]]]
+            counts = {}
+            for weight in walker(mats, basis, p):
+                key = tuple(bool(x) for m in mats for row in m for x in row)
+                counts[key] = counts.get(key, 0) + (1 if weight is None else weight)
+            return counts
+
+        assert counts_by_support(scalar_orbits) == counts_by_support(odometer)
 
 
 class TestNullspace:

@@ -79,6 +79,11 @@ class NonIntegralOrbitCount(VerificationError):
     """An orbit count was not divisible by the automorphism group order."""
 
 
+class ExtDimensionMismatch(VerificationError):
+    """Ext¹ computed from cocycles disagrees with the Hom matrix (dim ker δ
+    against dim Hom) or, on a hereditary algebra, with the Euler form."""
+
+
 class InconsistentCounts(VerificationError):
     """A held-out prime disagreed with the interpolated counting polynomial."""
 

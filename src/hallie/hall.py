@@ -1,22 +1,32 @@
 """Hall numbers over prime fields and their interpolating polynomials.
 
 The Hall number of a triple (n1, n2, m) is the number of submodules
-U of m with U isomorphic to n1 and m/U isomorphic to n2.  Two independent
+U of m with U isomorphic to n1 and m/U isomorphic to n2.  Three independent
 counting routes are provided:
 
+* ``hall_numbers_ext`` counts by Riedtmann's formula
+  F^b_{a,c} = |Ext¹(c,a)_b| · |Aut b| / (|Aut a| · |Aut c| · q^{hom(c,a)}):
+  one walk of Ext¹(c, a), one extension class per orbit of the nonzero
+  scalars, identifies the middle term of each class and so answers every
+  ambient class b at once.  |Aut| is read in closed form off the Hom matrix
+  (``ARQuiver.class_aut_order``: the maps between non-isomorphic summands
+  form the radical, and End/rad is a product of matrix algebras M_n(F_q)).
+  ``ARFamily`` counts with it while p^{dim Ext¹} stays within
+  ``EXT_WALK_BOUND``; the proof sketch is in its docstring.
 * ``hall_number_grass`` enumerates arrow-stable subspace tuples directly
   (in quiver-topological vertex order, so closure constraints prune the
   enumeration) and classifies the resulting sub/quotient pair.  It compares
   Hom dimensions only on the separating set of each expected class: the
   knitted vertices whose Hom dimensions, read off the Hom matrix, tell that
-  class apart from every other class of its dimension vector.  It is the
-  route ``ARFamily`` counts with.
+  class apart from every other class of its dimension vector.  ``ARFamily``
+  falls back to it past ``EXT_WALK_BOUND``.
 * ``hall_number_hom`` enumerates homomorphisms n1 -> m, one per orbit of
   the nonzero scalars, keeps the injective ones with the right cokernel
   class (compared on every knitted vertex), and divides by |Aut(n1)|.  It
-  is the independent oracle of ``check_oracle_equivalence``.
+  is the independent oracle of ``check_oracle_equivalence``, which compares
+  all three routes.
 
-Both routes ask the knitted ``ARQuiver`` for what it memoizes: the classes
+The routes ask the knitted ``ARQuiver`` for what it memoizes: the classes
 of each dimension vector, the class of each module they identify and the
 separating set of each class.
 
@@ -42,15 +52,16 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .algebra import AlgebraSpec
-from .errors import (InconsistentCounts, NonIntegralCoefficients,
-                     NonIntegralOrbitCount, ResourceBound)
-from .knit import ARQuiver, KnitConfig, ar_from_doc, ar_to_doc, knit
+from .errors import (EtaNotInjective, ExtDimensionMismatch, InconsistentCounts,
+                     NonIntegralCoefficients, NonIntegralOrbitCount, NotDirected,
+                     ResourceBound)
+from .knit import ARQuiver, KnitConfig, ar_from_doc, ar_sequence, ar_to_doc, knit
 from .linalg import (FMatrix, echelon, gaussian_binomial, intersect_subspaces,
                      is_prime, preimage_subspace, row_space, scalar_orbits,
                      subspaces_between)
 from .reps import (MultiplicityVector, Representation, SubspaceTuple, aut_order,
-                   check_relations, hom_dim, hom_space, matches_class,
-                   quotient_by_subtuple, restrict_to_subtuple)
+                   check_relations, ext_space, hom_dim, hom_space, matches_class,
+                   middle_term, quotient_by_subtuple, restrict_to_subtuple)
 
 
 @dataclass(frozen=True)
@@ -296,6 +307,79 @@ def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
     return count // aut
 
 
+# ``ARFamily`` walks Ext¹(c, a) only while p^{dim Ext¹} is at most this
+# many classes; past it, it counts with ``hall_number_grass``.
+EXT_WALK_BOUND = 20_000
+
+
+def hall_numbers_ext(ar: ARQuiver, a: MultiplicityVector, c: MultiplicityVector,
+                     n1: Representation, n2: Representation
+                     ) -> dict[MultiplicityVector, int] | None:
+    """The Hall numbers F^b_{a,c} of every class b at once, by Riedtmann's
+    formula over F_q (q = p):
+
+        F^b_{a,c} = |Ext¹(c, a)_b| · |Aut b| / (|Aut a| · |Aut c| · q^{hom(c, a)}),
+
+    where Ext¹(c, a)_b is the set of extension classes whose middle term is
+    of class b; n1 and n2 are modules of the classes a and c.  Classes b
+    missing from the result have F = 0.  None when q^{dim Ext¹(c, a)}
+    exceeds ``EXT_WALK_BOUND``.
+
+    Why the formula.  Aut b acts on the exact sequences 0 -> a -f-> b -g->
+    c -> 0 by φ·(f, g) = (φf, gφ⁻¹).  The orbits are the extension classes
+    with middle term b, and the stabilizer of (f, g) is {1 + f h g : h ∈
+    Hom(c, a)}, so there are |Ext¹(c, a)_b| · |Aut b| / q^{hom(c, a)} such
+    sequences.  Each submodule U ≅ a of b with b/U ≅ c is the image of f
+    for |Aut a| · |Aut c| of them.
+
+    The walk visits one extension class per orbit of F_q^* (scaling the
+    cocycle by λ conjugates the middle term by λ on a), weighted by the
+    orbit size, and identifies each middle term with ``ar.class_of``; the
+    zero class is a ⊕ c.  |Aut| comes in closed form from
+    ``ARQuiver.class_aut_order``, hom(c, a) from the Hom matrix.  Checked
+    at run time: dim ker δ equals hom(c, a) and, on a hereditary algebra,
+    dim Ext¹(c, a) = hom(c, a) − ⟨dim c, dim a⟩ for the Euler form
+    ⟨x, y⟩ = Σ_i x_i y_i − Σ_α x_{s(α)} y_{t(α)} (else
+    ``ExtDimensionMismatch``); every division is exact (else
+    ``NonIntegralOrbitCount``).
+    """
+    p = ar.field.p
+    ext = ext_space(n2, n1)
+    hom_ca = _pair(ar, c, ar.hom_vectors(a)[0])
+    if ext.hom_dim != hom_ca:
+        raise ExtDimensionMismatch(
+            f"dim ker δ = {ext.hom_dim} for Ext¹({c.render()}, {a.render()}), "
+            f"but the Hom matrix gives dim Hom = {hom_ca}")
+    spec = ar.spec
+    if not spec.relations:
+        index = {v: i for i, v in enumerate(spec.vertices)}
+        euler = (sum(x * y for x, y in zip(n2.dims, n1.dims))
+                 - sum(n2.dims[index[al.source]] * n1.dims[index[al.target]]
+                       for al in spec.quiver.arrows))
+        if ext.dim != hom_ca - euler:
+            raise ExtDimensionMismatch(
+                f"dim Ext¹({c.render()}, {a.render()}) = {ext.dim}, but the "
+                f"Euler form gives {hom_ca - euler}")
+    if p ** ext.dim > EXT_WALK_BOUND:
+        return None
+    cocycle = [0] * (len(ext.basis[0]) if ext.basis else 0)
+    deltas = [[(0, 0, j, v) for j, v in enumerate(z) if v] for z in ext.basis]
+    walked: dict[MultiplicityVector, int] = {}
+    for k, weight in enumerate(scalar_orbits([[cocycle]], deltas, p)):
+        b = a + c if k == 0 else ar.class_of(middle_term(n1, n2, cocycle))
+        walked[b] = walked.get(b, 0) + weight
+    denominator = ar.class_aut_order(a) * ar.class_aut_order(c) * p ** hom_ca
+    out = {}
+    for b, classes in walked.items():
+        numerator = classes * ar.class_aut_order(b)
+        if numerator % denominator:
+            raise NonIntegralOrbitCount(
+                f"{classes} extension classes with middle term {b.render()}: "
+                f"{numerator} not divisible by {denominator}")
+        out[b] = numerator // denominator
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Hall polynomials
 
@@ -386,6 +470,7 @@ class ARFamily:
         self._quivers: dict[int, ARQuiver] = {}
         self._modules: dict[tuple[int, MultiplicityVector], Representation] = {}
         self._counts: dict[tuple, int] = {}
+        self._ext_tables: dict[tuple, dict[MultiplicityVector, int] | None] = {}
         self._polynomials: dict[tuple, HallPolynomial] = {}
         self._reference_ids: frozenset[str] | None = None
 
@@ -427,9 +512,9 @@ class ARFamily:
     def _load_cached(self, p: int) -> ARQuiver | None:
         """The cached quiver over F_p, re-checked before it is trusted: the
         prime, each vertex id against its dimension vector, the relations on
-        every vertex and a unitriangular Hom matrix.  An entry that cannot
-        be decoded or fails a check is ignored, so the caller knits afresh
-        and overwrites it."""
+        every vertex, a unitriangular Hom matrix and every stored mesh
+        (``_meshes_hold``).  An entry that cannot be decoded or fails a
+        check is ignored, so the caller knits afresh and overwrites it."""
         path = self._cache_path(p)
         if not path or not os.path.exists(path):
             return None
@@ -447,7 +532,7 @@ class ARFamily:
         if any(H[i][j] != (1 if i == j else 0)
                for i in range(len(H)) for j in range(i + 1)):
             return None
-        return ar
+        return ar if _meshes_hold(ar) else None
 
     def _store_cached(self, p: int, ar: ARQuiver) -> None:
         path = self._cache_path(p)
@@ -475,17 +560,22 @@ class ARFamily:
     def count(self, a: MultiplicityVector, c: MultiplicityVector,
               b: MultiplicityVector, p: int) -> int:
         """Hall number at one prime: submodule class a, quotient class c,
-        ambient class b."""
+        ambient class b.  One walk of Ext¹(c, a) answers every b
+        (``hall_numbers_ext``, memoized per (a, c, p)); past
+        ``EXT_WALK_BOUND`` the count is ``hall_number_grass``."""
+        pair = (a, c, p)
+        if pair not in self._ext_tables:
+            self._ext_tables[pair] = hall_numbers_ext(
+                self.quiver(p), a, c, self.module(p, a), self.module(p, c))
+        table = self._ext_tables[pair]
+        if table is not None:
+            return table.get(b, 0)
         key = (a, c, b, p)
-        if key in self._counts:
-            return self._counts[key]
-        ar = self.quiver(p)
-        n1 = self.module(p, a)
-        n2 = self.module(p, c)
-        m = self.module(p, b)
-        value = hall_number_grass(ar, n1, n2, m)
-        self._counts[key] = value
-        return value
+        if key not in self._counts:
+            self._counts[key] = hall_number_grass(
+                self.quiver(p), self.module(p, a), self.module(p, c),
+                self.module(p, b))
+        return self._counts[key]
 
     # -- polynomials -------------------------------------------------------
 
@@ -582,6 +672,25 @@ class ARFamily:
         return list(self._polynomials.values())
 
 
+def _meshes_hold(ar: ARQuiver) -> bool:
+    """Whether the non-projective vertices are exactly those with a stored
+    mesh, each mesh runs from the vertex's translate through the sources
+    of the arrows into it, and ``ar_sequence`` re-verifies it."""
+    ends = {v.id for v in ar.vertices if not v.projective}
+    if set(ar.meshes) != ends:
+        return False
+    for z in ends:
+        mesh = ar.meshes[z]
+        if (mesh.translate != ar.tau.get(z) or sorted(mesh.middles)
+                != sorted(a.source for a in ar.arrows if a.target == z)):
+            return False
+        try:
+            ar_sequence(ar, z)
+        except (EtaNotInjective, NotDirected):
+            return False
+    return True
+
+
 def _pair(ar: ARQuiver, mv: MultiplicityVector, vector: Sequence[int]) -> int:
     """Σ_{x∈mv} n_x · vector[x]: with the into-vector of M (from
     ``ar.hom_vectors``) this is dim Hom(mv, M), with its out-of vector
@@ -624,13 +733,17 @@ def check_oracle_equivalence(spec: AlgebraSpec, primes: Sequence[int],
                              max_total_dim: int, hom_bound: int = 1_000_000,
                              aut_bound: int = 1_000_000,
                              jobs: int = 1) -> OracleEquivalenceReport:
-    """Compare the two counting strategies on every triple of module classes
+    """Compare the three counting routes on every triple of module classes
     whose members each have total dimension at most ``max_total_dim``.
 
     Triples whose hom-side enumeration exceeds the configured resource
     bounds are recorded as skipped (the hom oracle's precondition fails
-    there), everything else must agree exactly.  With ``jobs > 1`` the
-    ambient dimension vectors are sharded across worker processes.
+    there).  On every other triple the grass and hom counts must agree
+    exactly, and so must the Ext route's (walked once per (a, c) within a
+    slice) wherever ``EXT_WALK_BOUND`` lets it walk.  A mismatch is
+    recorded as (p, a, c, b, grass, hom, ext), with ext None where the Ext
+    route did not walk.  With ``jobs > 1`` the ambient dimension vectors
+    are sharded across worker processes.
     """
     import itertools
 
@@ -675,6 +788,16 @@ def _oracle_equivalence_slice(args) -> tuple[int, int, int, list]:
             modules[mv] = ar.class_module(mv)
         return modules[mv]
 
+    ext_tables: dict[tuple, dict[MultiplicityVector, int] | None] = {}
+
+    def ext_count(a_mv, c_mv, b):
+        pair = (a_mv, c_mv)
+        if pair not in ext_tables:
+            ext_tables[pair] = hall_numbers_ext(ar, a_mv, c_mv, module(a_mv),
+                                                module(c_mv))
+        table = ext_tables[pair]
+        return None if table is None else table.get(b, 0)
+
     compared = nonzero = skipped = 0
     mismatches = []
     max_total = max(sum(d) for d in dim_vectors)
@@ -700,8 +823,9 @@ def _oracle_equivalence_slice(args) -> tuple[int, int, int, list]:
                         compared += 1
                         if grass:
                             nonzero += 1
-                        if grass != hom:
+                        ext = ext_count(a_mv, c_mv, b)
+                        if grass != hom or ext not in (None, grass):
                             mismatches.append(
                                 (p, a_mv.render(), c_mv.render(), b.render(),
-                                 grass, hom))
+                                 grass, hom, ext))
     return compared, nonzero, skipped, mismatches

@@ -102,12 +102,6 @@ class ARQuiver:
     def vertex(self, vertex_id: str) -> ARVertex:
         return self.by_id[vertex_id]
 
-    def arrows_out_of(self, vertex_id: str) -> list[ARArrow]:
-        return [a for a in self.arrows if a.source == vertex_id]
-
-    def arrows_into(self, vertex_id: str) -> list[ARArrow]:
-        return [a for a in self.arrows if a.target == vertex_id]
-
     def hom_matrix(self) -> list[list[int]]:
         """H[i][j] = dim Hom(X_i, X_j) in the knitted order (cached)."""
         if self._hom_matrix is None:
@@ -138,19 +132,30 @@ class ARQuiver:
                 outof[k] += count * H[j][k]
         return into, outof
 
-    def module_classes(self, d: Sequence[int]) -> tuple[MultiplicityVector, ...]:
+    def module_classes(self, d: Sequence[int],
+                       bounds: tuple[Sequence[int], Sequence[int]] | None = None
+                       ) -> tuple[MultiplicityVector, ...]:
         """All multiplicity vectors whose weighted dimension vector equals d,
         enumerated deterministically (bounded knapsack in the knitted
-        order) and memoized per dimension vector."""
-        target = tuple(d)
-        classes = self._classes.get(target)
+        order) and memoized per dimension vector and bounds.
+
+        ``bounds`` = (into_max, out-of_max) keeps only the classes whose
+        ``hom_vectors`` lie below both, coordinate by coordinate.  The
+        knapsack prunes on the prefix: the Hom matrix has no negative
+        entries, so the vectors of a prefix only grow as summands are
+        added, and a prefix above a bound has no completion below it.
+        """
+        key = (tuple(d), None if bounds is None else tuple(map(tuple, bounds)))
+        classes = self._classes.get(key)
         if classes is not None:
             return classes
         verts = self.vertices
+        n = len(verts)
+        H = self.hom_matrix() if bounds is not None else None
         out: list[MultiplicityVector] = []
 
-        def recurse(pos: int, remaining: tuple[int, ...],
-                    acc: list[tuple[str, int]]) -> None:
+        def recurse(pos: int, remaining: tuple[int, ...], into: list[int],
+                    outof: list[int], acc: list[tuple[str, int]]) -> None:
             if pos == len(verts):
                 if all(x == 0 for x in remaining):
                     out.append(MultiplicityVector(acc))
@@ -161,15 +166,43 @@ class ARQuiver:
                       default=0)
             for count in range(top + 1):
                 nxt = tuple(remaining[i] - count * dims[i] for i in range(len(dims)))
-                if any(x < 0 for x in nxt):
-                    continue
+                if H is not None and count:
+                    into = [into[k] + H[k][pos] for k in range(n)]
+                    outof = [outof[k] + H[pos][k] for k in range(n)]
+                    if (any(x > m for x, m in zip(into, bounds[0]))
+                            or any(x > m for x, m in zip(outof, bounds[1]))):
+                        break  # more copies of v only raise the vectors
                 acc.append((v.id, count))
-                recurse(pos + 1, nxt, acc)
+                recurse(pos + 1, nxt, into, outof, acc)
                 acc.pop()
 
-        recurse(0, target, [])
-        self._classes[target] = classes = tuple(out)
+        recurse(0, tuple(d), [0] * n, [0] * n, [])
+        self._classes[key] = classes = tuple(out)
         return classes
+
+    def class_aut_order(self, mv: MultiplicityVector) -> int:
+        """|Aut| of the class mv over the quiver's field F_q, in closed form
+        from the Hom matrix: for mv = ⊕ X_i^{n_i},
+
+            |Aut| = q^{end − Σ n_i²} · Π |GL_{n_i}(F_q)|,  end = dim End(mv).
+
+        Why.  Each End(X_i) is k: the Hom matrix has 1 on its diagonal.  The
+        Hom matrix is upper unitriangular in the knitted order, so End(mv),
+        written in blocks Hom(X_i^{n_i}, X_j^{n_j}), is block triangular with
+        diagonal blocks M_{n_i}(k); the off-diagonal blocks are maps between
+        non-isomorphic indecomposables, which form a nilpotent ideal (the
+        radical), of dimension end − Σ n_i².  End(mv)/rad ≅ Π M_{n_i}(k), and
+        an endomorphism is invertible iff its image there is, so Aut(mv) is
+        the preimage of Π GL_{n_i}(k): |rad| · Π |GL_{n_i}(k)| elements.
+        """
+        q = self.field.p
+        into = self.hom_vectors(mv)[0]
+        end = sum(n * into[self.by_id[x].index] for x, n in mv.items())
+        order = q ** (end - sum(n * n for _, n in mv.items()))
+        for _, n in mv.items():
+            for k in range(n):
+                order *= q ** n - q ** k
+        return order
 
     def class_of(self, m: Representation) -> MultiplicityVector:
         """``identify(m, self)``, memoized per module."""
@@ -455,26 +488,32 @@ class FieldIndependenceReport:
                 "identical": True, "shape": self.shape}
 
 
-def check_field_independence(spec: AlgebraSpec, primes: Sequence[int],
-                             config: KnitConfig | None = None) -> FieldIndependenceReport:
-    """Knit over each prime and insist the combinatorial data agree.
+def compare_quiver_shapes(quivers: Mapping[int, ARQuiver]) -> FieldIndependenceReport:
+    """Insist that quivers knitted over several primes (keyed by prime, the
+    first one the reference) have one combinatorial shape.
 
     Vertices are matched through their dimension vectors, which determine
     indecomposables uniquely here, so equality of the id-level shapes is the
     right notion of isomorphism of translation quivers.
     """
+    primes = list(quivers)
     if len(primes) < 2:
         raise ValueError("need at least two primes")
-    shapes = {}
-    for p in primes:
-        shapes[p] = quiver_shape(knit(spec, p, config))
-    reference = shapes[primes[0]]
+    reference = quiver_shape(quivers[primes[0]])
     for p in primes[1:]:
-        if shapes[p] != reference:
+        if quiver_shape(quivers[p]) != reference:
             raise FieldDependenceDetected(
                 f"AR quiver over F_{p} differs from F_{primes[0]}")
     return FieldIndependenceReport(tuple(primes), len(reference["vertices"]),
                                    reference)
+
+
+def check_field_independence(spec: AlgebraSpec, primes: Sequence[int],
+                             config: KnitConfig | None = None) -> FieldIndependenceReport:
+    """Knit over each prime and compare the shapes (``compare_quiver_shapes``)."""
+    if len(primes) < 2:
+        raise ValueError("need at least two primes")
+    return compare_quiver_shapes({p: knit(spec, p, config) for p in primes})
 
 
 # ---------------------------------------------------------------------------

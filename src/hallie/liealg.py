@@ -73,23 +73,34 @@ class GradedVector:
         return f"GradedVector({body})"
 
 
-def enumerate_module_classes(ar: ARQuiver, d: Sequence[int]) -> list[MultiplicityVector]:
+def enumerate_module_classes(ar: ARQuiver, d: Sequence[int],
+                             bounds: tuple[Sequence[int], Sequence[int]] | None = None
+                             ) -> list[MultiplicityVector]:
     """All multiplicity vectors whose weighted dimension vector equals d,
-    enumerated deterministically (bounded knapsack in the knitted order).
+    enumerated deterministically (bounded knapsack in the knitted order),
+    optionally only those whose Hom vectors lie below ``bounds``.
 
-    The knapsack runs once per dimension vector and quiver
+    The knapsack runs once per dimension vector, bounds and quiver
     (``ARQuiver.module_classes``); each call returns a fresh list."""
-    return list(ar.module_classes(d))
+    return list(ar.module_classes(d, bounds))
 
 
 def hall_product(family: ARFamily, c: MultiplicityVector,
                  a: MultiplicityVector) -> GradedVector:
     """u_c . u_a: coefficients are Hall polynomial values at 1 summed over
-    classes at the total dimension vector; a is the submodule class."""
+    classes at the total dimension vector; a is the submodule class.
+
+    Only the classes b with into(b) <= into(a) + into(c) and
+    outof(b) <= outof(a) + outof(c) are enumerated.  Every other class fails
+    an upper inequality of ``_possibly_nonzero`` and so has the zero
+    polynomial: skipping it cannot change the product."""
     ar = family.reference_quiver()
     d = tuple(x + y for x, y in zip(ar.class_dim_vector(a), ar.class_dim_vector(c)))
+    (into_a, outof_a), (into_c, outof_c) = ar.hom_vectors(a), ar.hom_vectors(c)
+    bounds = ([x + y for x, y in zip(into_a, into_c)],
+              [x + y for x, y in zip(outof_a, outof_c)])
     terms = []
-    for b in enumerate_module_classes(ar, d):
+    for b in enumerate_module_classes(ar, d, bounds):
         value = family.euler(a, c, b)
         if value:
             terms.append((b, value))

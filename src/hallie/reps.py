@@ -230,6 +230,147 @@ def _unflatten_hom(m: Representation, n: Representation,
     return out
 
 
+# ---------------------------------------------------------------------------
+# Extensions
+
+
+@dataclass(frozen=True)
+class ExtSpace:
+    """Ext¹(c, a) as cocycles modulo coboundaries.
+
+    A cocycle z is one block Z_α: c_{s(α)} -> a_{t(α)} per arrow, flattened
+    row-major in the quiver's arrow order (``middle_term`` reads it back).
+    ``basis`` spans a complement of the coboundaries in the cocycles, so its
+    F_p-combinations are the extension classes, each exactly once;
+    ``hom_dim`` is dim ker δ = dim Hom(c, a).
+    """
+
+    basis: tuple[tuple[int, ...], ...]
+    hom_dim: int
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+
+def _cocycle_offsets(a: Representation, c: Representation) -> tuple[dict[str, int], int]:
+    """Start of each arrow's block Z_α (a_{t(α)} x c_{s(α)}) in a flat cocycle."""
+    index = {v: i for i, v in enumerate(a.spec.vertices)}
+    offsets, total = {}, 0
+    for al in a.spec.quiver.arrows:
+        offsets[al.id] = total
+        total += a.dims[index[al.target]] * c.dims[index[al.source]]
+    return offsets, total
+
+
+def ext_space(c: Representation, a: Representation) -> ExtSpace:
+    """Ext¹(c, a) from block upper-triangular representations.
+
+    Every extension 0 -> a -> b -> c -> 0 is, after a choice of vector-space
+    splitting b_x = a_x ⊕ c_x, the representation with arrow maps
+    [[A_α, Z_α], [0, C_α]].  Its path maps are again block upper-triangular,
+    with off-diagonal block Σ_j A_{left of j} Z_{α_j} C_{right of j} along
+    the path: linear in Z, because no product of blocks can hold two Zs.
+    So the relations of the algebra cut out a linear space of cocycles (a
+    zero relation asks the block to vanish, a commutativity relation asks
+    the two blocks to agree; a and c satisfy the relations already).  Two
+    cocycles give equivalent extensions iff they differ by a coboundary
+    δ(f)_α = A_α f_{s(α)} − f_{t(α)} C_α, f ∈ ⊕_x Hom(c_x, a_x), and
+    ker δ = Hom(c, a).
+    """
+    if a.spec is not c.spec or a.field != c.field:
+        raise ValueError("ext_space over mixed spec or field")
+    spec, field, p = a.spec, a.field, a.field.p
+    inv = field.inverses
+    index = {v: i for i, v in enumerate(spec.vertices)}
+    offsets, total = _cocycle_offsets(a, c)
+
+    constraints: list[list[int]] = []
+    for rel in spec.relations:
+        nt = a.dims[index[rel.lhs.target]]
+        ns = c.dims[index[rel.lhs.source]]
+        forms = [[0] * total for _ in range(nt * ns)]
+        sides = [(1, rel.lhs)] + ([(-1, rel.rhs)] if rel.kind == "commutativity" else [])
+        for sign, path in sides:
+            ids = path.arrows
+            for j, aid in enumerate(ids):
+                left = (path_matrix(a, ids[:j]) if j
+                        else FMatrix.identity(field, nt))
+                right = (path_matrix(c, ids[j + 1:]) if j + 1 < len(ids)
+                         else FMatrix.identity(field, ns))
+                width, base = right.nrows, offsets[aid]
+                for i, lrow in enumerate(left.rows):
+                    for r, lval in enumerate(lrow):
+                        if not lval:
+                            continue
+                        for s, rrow in enumerate(right.rows):
+                            var = base + r * width + s
+                            for k, rval in enumerate(rrow):
+                                if rval:
+                                    forms[i * ns + k][var] += sign * lval * rval
+        constraints.extend([x % p for x in form] for form in forms)
+    if constraints and total:
+        cocycles = solve_nullspace(FMatrix(field, len(constraints), total,
+                                           tuple(map(tuple, constraints))))
+    else:
+        cocycles = [tuple(int(i == j) for j in range(total)) for i in range(total)]
+
+    coboundaries = []
+    for x, v in enumerate(spec.vertices):
+        for r in range(a.dims[x]):
+            for s in range(c.dims[x]):
+                vec = [0] * total
+                for al in spec.quiver.arrows:
+                    if al.source == v:  # A_α E_rs: column r of A_α in column s
+                        width = c.dims[x]
+                        for i, row in enumerate(a.maps[al.id].rows):
+                            if row[r]:
+                                vec[offsets[al.id] + i * width + s] += row[r]
+                    if al.target == v:  # − E_rs C_α: minus row s of C_α in row r
+                        width = c.dims[index[al.source]]
+                        for k, val in enumerate(c.maps[al.id].rows[s]):
+                            if val:
+                                vec[offsets[al.id] + r * width + k] -= val
+                coboundaries.append([val % p for val in vec])
+    pivots = echelon(coboundaries, p, inv)
+    hom = len(coboundaries) - len(pivots)
+
+    # Clear the coboundary pivot columns from each cocycle: a nonzero
+    # coboundary is nonzero on some pivot column, so what is left spans a
+    # complement of the coboundaries inside the cocycles.
+    reduced = []
+    for z in cocycles:
+        z = list(z)
+        for row, col in zip(coboundaries, pivots):
+            f = z[col]
+            if f:
+                z = [(x - f * y) % p for x, y in zip(z, row)]
+        reduced.append(z)
+    rank = len(echelon(reduced, p, inv))
+    return ExtSpace(tuple(tuple(z) for z in reduced[:rank]), hom)
+
+
+def middle_term(a: Representation, c: Representation,
+                cocycle: Sequence[int]) -> Representation:
+    """The middle term of the extension of c by a with the given flat
+    cocycle (layout of ``ext_space``): arrow maps [[A_α, Z_α], [0, C_α]] on
+    a_x ⊕ c_x.  The zero cocycle gives ``direct_sum([a, c])``."""
+    spec, field = a.spec, a.field
+    index = {v: i for i, v in enumerate(spec.vertices)}
+    offsets, _ = _cocycle_offsets(a, c)
+    dims = tuple(x + y for x, y in zip(a.dims, c.dims))
+    maps = {}
+    for al in spec.quiver.arrows:
+        s = index[al.source]
+        width, base = c.dims[s], offsets[al.id]
+        top = tuple(arow + tuple(cocycle[base + i * width:base + (i + 1) * width])
+                    for i, arow in enumerate(a.maps[al.id].rows))
+        pad = (0,) * a.dims[s]
+        bottom = tuple(pad + crow for crow in c.maps[al.id].rows)
+        maps[al.id] = FMatrix(field, len(top) + len(bottom), dims[s], top + bottom)
+    return Representation(spec, field, dims, maps)
+
+
 def hom_is_invertible(f: Mapping[str, FMatrix]) -> bool:
     return all(mat.nrows == mat.ncols and mat.rank() == mat.nrows
                for mat in f.values())

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 
@@ -139,6 +140,21 @@ class TestVerifyCommand:
                               "--primes", "3,5")
         assert code == 0
 
+    def test_each_prime_knitted_once(self, capsys, monkeypatch):
+        """Field independence compares the quivers the family knitted for
+        counting instead of knitting the verify primes again."""
+        primes = []
+        real = hallie.knit
+
+        def counted(spec, p, config=None):
+            primes.append(p)
+            return real(spec, p, config)
+        for module in ("hallie.hall", "hallie.knit"):
+            monkeypatch.setattr(importlib.import_module(module), "knit", counted)
+        code, _, _ = invoke(capsys, "verify", "--algebra", algebra("a2"))
+        assert code == 0
+        assert sorted(primes) == [2, 3, 5]
+
 
 class TestErrorPaths:
     def test_cyclic_input(self, capsys, tmp_path):
@@ -241,11 +257,14 @@ class TestCache:
         cached = [f for f in os.listdir(tmp_path) if f.endswith(".json")]
         assert len(cached) == 3
 
-    @pytest.mark.parametrize("fault", ["zeroed_matrix", "truncated_json"])
+    @pytest.mark.parametrize("fault", ["zeroed_matrix", "truncated_json",
+                                       "doctored_mesh"])
     def test_bad_cache_entry_is_recomputed(self, capsys, tmp_path, monkeypatch,
                                            fault):
-        """A zeroed matrix makes the cached 1-1 decomposable (dim End = 2);
-        it must be rejected on load, not reported as a failed verification."""
+        """A zeroed matrix makes the cached 1-1 decomposable (dim End = 2),
+        and a zeroed map in the stored mesh ending at 1-0 is no longer onto;
+        each must be rejected on load, not reported as a failed
+        verification."""
         code, uncached, _ = invoke(capsys, "verify", "--algebra", algebra("a2"))
         assert code == 0
         monkeypatch.setenv("HALLIE_CACHE_DIR", str(tmp_path))
@@ -257,6 +276,12 @@ class TestCache:
             doc = json.loads(good)
             maps = doc["representations"]["1-1"]
             maps["a"] = [[0] * len(row) for row in maps["a"]]
+            path.write_text(json.dumps(doc))
+        elif fault == "doctored_mesh":
+            doc = json.loads(good)
+            for nu in doc["meshes"]["1-0"]["nu"]:
+                for vx, rows in nu.items():
+                    nu[vx] = [[0] * len(row) for row in rows]
             path.write_text(json.dumps(doc))
         else:
             path.write_text(good[:len(good) // 2])

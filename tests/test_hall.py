@@ -3,14 +3,15 @@ import itertools
 import pytest
 
 from hallie import hall
-from hallie.errors import InconsistentCounts
+from hallie.errors import (ExtDimensionMismatch, InconsistentCounts,
+                           NonIntegralOrbitCount)
 from hallie.hall import (ARFamily, HallConfig, closed_subspace_tuples,
                          first_primes, hall_number_grass, hall_number_hom,
-                         lagrange_interpolate)
+                         hall_numbers_ext, lagrange_interpolate)
 from hallie.knit import knit
 from hallie.liealg import hall_lie_table
-from hallie.reps import (MultiplicityVector, direct_sum, hom_dim, identify,
-                         matches_class, quotient_by_subtuple,
+from hallie.reps import (ExtSpace, MultiplicityVector, direct_sum, hom_dim,
+                         identify, matches_class, quotient_by_subtuple,
                          restrict_to_subtuple, simple_rep, sub_quotient)
 
 
@@ -321,13 +322,90 @@ class TestDegreeBound:
         the held-out prime agrees; only the free action of F_p^* on the
         injections S1 -> S1^2 (at most (p^2 - 1)/(p - 1) of them up to
         scalars) rules the counts out."""
-        real = hall.hall_number_grass
-        monkeypatch.setattr(hall, "hall_number_grass",
-                            lambda ar, n1, n2, m: real(ar, n1, n2, m) + 10)
+        real = hall.hall_numbers_ext
+        monkeypatch.setattr(hall, "hall_numbers_ext", lambda *args: {
+            b: value + 10 for b, value in real(*args).items()})
         fam = ARFamily(algebras["a2"])
         s1 = MultiplicityVector.unit("1-0")
         with pytest.raises(InconsistentCounts, match="exceeds"):
             fam.polynomial(s1, s1, MultiplicityVector({"1-0": 2}))
+
+
+S1, S2, P1 = (MultiplicityVector.unit(vid) for vid in ("1-0", "0-1", "1-1"))
+
+
+class TestExtRoute:
+    """Riedtmann's formula over one walk of Ext¹(c, a) against the grass
+    route, and the run-time checks that guard it."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("name", ["a3", "a3_bound", "csquare", "d4"])
+    def test_bracket_triples_match_grass(self, algebras, name, p):
+        """Every triple of a bracket [x, y]: sub x, quotient y and every
+        class b of the summed dimension vector."""
+        ar = knit(algebras[name], p)
+        nonzero = 0
+        for x, y in itertools.permutations(ar.vertices, 2):
+            a, c = MultiplicityVector.unit(x.id), MultiplicityVector.unit(y.id)
+            table = hall_numbers_ext(ar, a, c, x.rep, y.rep)
+            d = tuple(i + j for i, j in zip(x.rep.dims, y.rep.dims))
+            classes = ar.module_classes(d)
+            assert set(table) <= set(classes)
+            for b in classes:
+                want = hall_number_grass(ar, x.rep, y.rep, ar.class_module(b))
+                assert table.get(b, 0) == want, (x.id, y.id, b.render())
+                nonzero += want != 0
+        assert nonzero > 0
+
+    def test_split_and_nonsplit_counts(self, algebras):
+        """Ext¹(S1, S2) is a line over A2: its zero class gives S1 + S2,
+        the other p - 1 classes give P1, and each is counted once."""
+        for p in (2, 3, 5):
+            ar = knit(algebras["a2"], p)
+            s2, s1 = ar.vertex("0-1").rep, ar.vertex("1-0").rep
+            assert hall_numbers_ext(ar, S2, S1, s2, s1) == {P1: 1, S1 + S2: 1}
+            assert hall_numbers_ext(ar, S1, S2, s1, s2) == {S1 + S2: 1}
+
+    def test_kernel_of_delta_checked_against_hom_matrix(self, algebras):
+        """dim Hom(S2, P1) = 1; with that entry of the Hom matrix doctored
+        to 0 the coboundary kernel disagrees with it."""
+        ar = knit(algebras["a2"], 2)
+        ar.hom_matrix()[ar.order.index("0-1")][ar.order.index("1-1")] = 0
+        with pytest.raises(ExtDimensionMismatch, match="ker"):
+            hall_numbers_ext(ar, P1, S2, ar.vertex("1-1").rep, ar.vertex("0-1").rep)
+
+    def test_euler_form_checked_on_hereditary_input(self, algebras, monkeypatch):
+        real = hall.ext_space
+        monkeypatch.setattr(hall, "ext_space", lambda c, a: ExtSpace(
+            real(c, a).basis[1:], real(c, a).hom_dim))
+        ar = knit(algebras["a2"], 2)
+        with pytest.raises(ExtDimensionMismatch, match="Euler form"):
+            hall_numbers_ext(ar, S2, S1, ar.vertex("0-1").rep, ar.vertex("1-0").rep)
+
+    def test_inexact_division_raises(self, algebras):
+        ar = knit(algebras["a2"], 3)
+        real = ar.class_aut_order
+        ar.class_aut_order = lambda mv: real(mv) + (mv == P1)
+        with pytest.raises(NonIntegralOrbitCount):
+            hall_numbers_ext(ar, S2, S1, ar.vertex("0-1").rep, ar.vertex("1-0").rep)
+
+    def test_grass_route_past_the_walk_bound(self, families, algebras, monkeypatch):
+        """With no Ext walk allowed, every count falls back to the grass
+        route, and the polynomials do not change."""
+        calls = []
+        real = hall.hall_number_grass
+        monkeypatch.setattr(hall, "hall_number_grass",
+                            lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(hall, "EXT_WALK_BOUND", 0)
+        fam = ARFamily(algebras["a3"])
+        hall_lie_table(fam)
+        assert calls
+        reference = families["a3"]
+        hall_lie_table(reference)
+        for poly in fam.known_polynomials():
+            twin = reference.polynomial(poly.sub_class, poly.quot_class,
+                                        poly.total_class)
+            assert (poly.coefficients, poly.counts) == (twin.coefficients, twin.counts)
 
 
 class TestCacheLoad:

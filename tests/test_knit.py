@@ -1,15 +1,16 @@
 import importlib
+import itertools
 import json
 
 import pytest
 
 from hallie.algebra import parse_algebra
-from hallie.errors import (IsProjective, NonUnitriangularHomMatrix,
-                           NotRepresentationFinite)
+from hallie.errors import (FieldDependenceDetected, IsProjective,
+                           NonUnitriangularHomMatrix, NotRepresentationFinite)
 from hallie.knit import (KnitConfig, ar_from_doc, ar_sequence, ar_to_doc,
-                         check_field_independence, knit)
+                         check_field_independence, compare_quiver_shapes, knit)
 from hallie.liealg import enumerate_module_classes
-from hallie.reps import MultiplicityVector, check_relations, hom_dim
+from hallie.reps import MultiplicityVector, aut_order, check_relations, hom_dim
 
 knit_module = importlib.import_module("hallie.knit")  # hallie.knit is the function
 
@@ -161,6 +162,15 @@ class TestFieldIndependence:
         with pytest.raises(ValueError):
             check_field_independence(algebras["a2"], [2])
 
+    def test_knitted_quivers_compared_as_given(self, algebras):
+        """verify compares the quivers its family already knitted; a
+        doctored translate over one prime must fail the comparison."""
+        quivers = {p: knit(algebras["a2"], p) for p in (2, 3)}
+        assert compare_quiver_shapes(quivers).primes == (2, 3)
+        quivers[3].tau["1-0"] = "1-1"
+        with pytest.raises(FieldDependenceDetected, match="F_3"):
+            compare_quiver_shapes(quivers)
+
 
 class TestLimits:
     def test_representation_infinite_input_fails_fast(self):
@@ -226,6 +236,21 @@ class TestQuiverMemos:
                         rival = ar.hom_vectors(other)[0]
                         assert any(rival[k] != into[k] for k in sep), (name, mv)
 
+    def test_bounded_classes_are_the_filtered_classes(self, knits):
+        """The knapsack pruned on Hom-vector bounds gives exactly the
+        classes of the unbounded list whose Hom vectors lie below them, in
+        the same order; the bounds are those of every bracket pair."""
+        for name, ar in knits.items():
+            for x, y in itertools.permutations(ar.vertices, 2):
+                hx = ar.hom_vectors(MultiplicityVector.unit(x.id))
+                hy = ar.hom_vectors(MultiplicityVector.unit(y.id))
+                bounds = tuple([i + j for i, j in zip(u, v)] for u, v in zip(hx, hy))
+                d = [i + j for i, j in zip(x.rep.dims, y.rep.dims)]
+                want = [b for b in ar.module_classes(d)
+                        if all(all(h <= m for h, m in zip(vec, bound))
+                               for vec, bound in zip(ar.hom_vectors(b), bounds))]
+                assert list(ar.module_classes(d, bounds)) == want, (name, x.id, y.id)
+
     def test_shared_hom_vector_raises(self, algebras):
         """identify checks only the diagonal of the Hom matrix; a doctored
         entry below it gives P1 and S1 + S2 one into-vector, and building
@@ -236,3 +261,24 @@ class TestQuiverMemos:
         for mv in (P1, SPLIT):
             with pytest.raises(NonUnitriangularHomMatrix):
                 ar.separating_set(mv)
+
+
+class TestClosedFormAut:
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("name", ["a3", "d4", "csquare"])
+    def test_matches_enumeration(self, algebras, name, p):
+        """``class_aut_order`` against ``reps.aut_order`` on every class
+        whose dimension-vector entries are at most 2 and whose endomorphism
+        enumeration fits 20,000 maps."""
+        ar = knit(algebras[name], p)
+        checked = 0
+        for d in itertools.product(range(3), repeat=len(ar.spec.vertices)):
+            for mv in ar.module_classes(d):
+                into = ar.hom_vectors(mv)[0]
+                end = sum(n * into[ar.order.index(x)] for x, n in mv.items())
+                if p ** end > 20_000:
+                    continue
+                assert ar.class_aut_order(mv) == aut_order(ar.class_module(mv)), \
+                    mv.render()
+                checked += 1
+        assert checked > 0

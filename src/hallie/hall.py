@@ -11,15 +11,15 @@ counting routes are provided:
   ambient class b at once.  |Aut| is read in closed form off the Hom matrix
   (``ARQuiver.class_aut_order``: the maps between non-isomorphic summands
   form the radical, and End/rad is a product of matrix algebras M_n(F_q)).
-  ``ARFamily`` counts with it while p^{dim Ext¹} stays within
-  ``EXT_WALK_BOUND``; the proof sketch is in its docstring.
+  ``ARFamily`` counts with it (``ext_hall_number``, one walk per pair
+  memoized on the quiver); the proof sketch is in its docstring.
 * ``hall_number_grass`` enumerates arrow-stable subspace tuples directly
   (in quiver-topological vertex order, so closure constraints prune the
   enumeration) and classifies the resulting sub/quotient pair.  It compares
   Hom dimensions only on the separating set of each expected class: the
   knitted vertices whose Hom dimensions, read off the Hom matrix, tell that
-  class apart from every other class of its dimension vector.  ``ARFamily``
-  falls back to it past ``EXT_WALK_BOUND``.
+  class apart from every other class of its dimension vector.  It is the
+  reference route of ``check_oracle_equivalence``.
 * ``hall_number_hom`` enumerates homomorphisms n1 -> m, one per orbit of
   the nonzero scalars, keeps the injective ones with the right cokernel
   class (compared on every knitted vertex), and divides by |Aut(n1)|.  It
@@ -307,14 +307,9 @@ def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
     return count // aut
 
 
-# ``ARFamily`` walks Ext¹(c, a) only while p^{dim Ext¹} is at most this
-# many classes; past it, it counts with ``hall_number_grass``.
-EXT_WALK_BOUND = 20_000
-
-
 def hall_numbers_ext(ar: ARQuiver, a: MultiplicityVector, c: MultiplicityVector,
                      n1: Representation, n2: Representation
-                     ) -> dict[MultiplicityVector, int] | None:
+                     ) -> dict[MultiplicityVector, int]:
     """The Hall numbers F^b_{a,c} of every class b at once, by Riedtmann's
     formula over F_q (q = p):
 
@@ -322,8 +317,7 @@ def hall_numbers_ext(ar: ARQuiver, a: MultiplicityVector, c: MultiplicityVector,
 
     where Ext¹(c, a)_b is the set of extension classes whose middle term is
     of class b; n1 and n2 are modules of the classes a and c.  Classes b
-    missing from the result have F = 0.  None when q^{dim Ext¹(c, a)}
-    exceeds ``EXT_WALK_BOUND``.
+    missing from the result have F = 0.
 
     Why the formula.  Aut b acts on the exact sequences 0 -> a -f-> b -g->
     c -> 0 by φ·(f, g) = (φf, gφ⁻¹).  The orbits are the extension classes
@@ -360,8 +354,6 @@ def hall_numbers_ext(ar: ARQuiver, a: MultiplicityVector, c: MultiplicityVector,
             raise ExtDimensionMismatch(
                 f"dim Ext¹({c.render()}, {a.render()}) = {ext.dim}, but the "
                 f"Euler form gives {hom_ca - euler}")
-    if p ** ext.dim > EXT_WALK_BOUND:
-        return None
     cocycle = [0] * (len(ext.basis[0]) if ext.basis else 0)
     deltas = [[(0, 0, j, v) for j, v in enumerate(z) if v] for z in ext.basis]
     walked: dict[MultiplicityVector, int] = {}
@@ -378,6 +370,17 @@ def hall_numbers_ext(ar: ARQuiver, a: MultiplicityVector, c: MultiplicityVector,
                 f"{numerator} not divisible by {denominator}")
         out[b] = numerator // denominator
     return out
+
+
+def ext_hall_number(ar: ARQuiver, a: MultiplicityVector, c: MultiplicityVector,
+                    b: MultiplicityVector) -> int:
+    """F^b_{a,c} over the quiver's field by ``hall_numbers_ext``, whose
+    table of every b is memoized on the quiver per pair (a, c)."""
+    table = ar.ext_tables.get((a, c))
+    if table is None:
+        table = ar.ext_tables[(a, c)] = hall_numbers_ext(
+            ar, a, c, ar.class_module(a), ar.class_module(c))
+    return table.get(b, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +471,6 @@ class ARFamily:
         self.config = config or HallConfig()
         self.cache_dir = cache_dir
         self._quivers: dict[int, ARQuiver] = {}
-        self._modules: dict[tuple[int, MultiplicityVector], Representation] = {}
-        self._counts: dict[tuple, int] = {}
-        self._ext_tables: dict[tuple, dict[MultiplicityVector, int] | None] = {}
         self._polynomials: dict[tuple, HallPolynomial] = {}
         self._reference_ids: frozenset[str] | None = None
 
@@ -546,12 +546,6 @@ class ARFamily:
 
     # -- classes -----------------------------------------------------------
 
-    def module(self, p: int, mv: MultiplicityVector) -> Representation:
-        key = (p, mv)
-        if key not in self._modules:
-            self._modules[key] = self.quiver(p).class_module(mv)
-        return self._modules[key]
-
     def class_dims(self, mv: MultiplicityVector) -> tuple[int, ...]:
         return self.reference_quiver().class_dim_vector(mv)
 
@@ -561,21 +555,8 @@ class ARFamily:
               b: MultiplicityVector, p: int) -> int:
         """Hall number at one prime: submodule class a, quotient class c,
         ambient class b.  One walk of Ext¹(c, a) answers every b
-        (``hall_numbers_ext``, memoized per (a, c, p)); past
-        ``EXT_WALK_BOUND`` the count is ``hall_number_grass``."""
-        pair = (a, c, p)
-        if pair not in self._ext_tables:
-            self._ext_tables[pair] = hall_numbers_ext(
-                self.quiver(p), a, c, self.module(p, a), self.module(p, c))
-        table = self._ext_tables[pair]
-        if table is not None:
-            return table.get(b, 0)
-        key = (a, c, b, p)
-        if key not in self._counts:
-            self._counts[key] = hall_number_grass(
-                self.quiver(p), self.module(p, a), self.module(p, c),
-                self.module(p, b))
-        return self._counts[key]
+        (``ext_hall_number``)."""
+        return ext_hall_number(self.quiver(p), a, c, b)
 
     # -- polynomials -------------------------------------------------------
 
@@ -675,14 +656,16 @@ class ARFamily:
 def _meshes_hold(ar: ARQuiver) -> bool:
     """Whether the non-projective vertices are exactly those with a stored
     mesh, each mesh runs from the vertex's translate through the sources
-    of the arrows into it, and ``ar_sequence`` re-verifies it."""
+    of the arrows into it with one η and one ν block per middle term, and
+    ``ar_sequence`` re-verifies it."""
     ends = {v.id for v in ar.vertices if not v.projective}
     if set(ar.meshes) != ends:
         return False
     for z in ends:
         mesh = ar.meshes[z]
         if (mesh.translate != ar.tau.get(z) or sorted(mesh.middles)
-                != sorted(a.source for a in ar.arrows if a.target == z)):
+                != sorted(a.source for a in ar.arrows if a.target == z)
+                or not len(mesh.eta) == len(mesh.nu) == len(mesh.middles)):
             return False
         try:
             ar_sequence(ar, z)
@@ -739,11 +722,10 @@ def check_oracle_equivalence(spec: AlgebraSpec, primes: Sequence[int],
     Triples whose hom-side enumeration exceeds the configured resource
     bounds are recorded as skipped (the hom oracle's precondition fails
     there).  On every other triple the grass and hom counts must agree
-    exactly, and so must the Ext route's (walked once per (a, c) within a
-    slice) wherever ``EXT_WALK_BOUND`` lets it walk.  A mismatch is
-    recorded as (p, a, c, b, grass, hom, ext), with ext None where the Ext
-    route did not walk.  With ``jobs > 1`` the ambient dimension vectors
-    are sharded across worker processes.
+    exactly, and so must the Ext route's (walked once per (a, c) on the
+    slice's quiver).  A mismatch is recorded as (p, a, c, b, grass, hom,
+    ext).  With ``jobs > 1`` the ambient dimension vectors are sharded
+    across worker processes.
     """
     import itertools
 
@@ -781,23 +763,7 @@ def _oracle_equivalence_slice(args) -> tuple[int, int, int, list]:
     source_text, p, dim_vectors, hom_bound, aut_bound = args
     spec = parse_algebra(source_text)
     ar = knit(spec, p)
-    modules: dict[MultiplicityVector, Representation] = {}
-
-    def module(mv):
-        if mv not in modules:
-            modules[mv] = ar.class_module(mv)
-        return modules[mv]
-
-    ext_tables: dict[tuple, dict[MultiplicityVector, int] | None] = {}
-
-    def ext_count(a_mv, c_mv, b):
-        pair = (a_mv, c_mv)
-        if pair not in ext_tables:
-            ext_tables[pair] = hall_numbers_ext(ar, a_mv, c_mv, module(a_mv),
-                                                module(c_mv))
-        table = ext_tables[pair]
-        return None if table is None else table.get(b, 0)
-
+    module = ar.class_module
     compared = nonzero = skipped = 0
     mismatches = []
     max_total = max(sum(d) for d in dim_vectors)
@@ -823,8 +789,8 @@ def _oracle_equivalence_slice(args) -> tuple[int, int, int, list]:
                         compared += 1
                         if grass:
                             nonzero += 1
-                        ext = ext_count(a_mv, c_mv, b)
-                        if grass != hom or ext not in (None, grass):
+                        ext = ext_hall_number(ar, a_mv, c_mv, b)
+                        if grass != hom or ext != grass:
                             mismatches.append(
                                 (p, a_mv.render(), c_mv.render(), b.render(),
                                  grass, hom, ext))

@@ -77,10 +77,13 @@ class ARQuiver:
 
     Besides the Hom matrix, a quiver memoizes what Hall counting asks of it
     again and again: the module classes of each dimension vector
-    (``module_classes``), the class ``identify`` found for each module it
-    was asked about (``class_of``) and the separating set of each class
-    (``separating_set``).  The memos belong to this quiver, so quivers over
-    different primes never share them.
+    (``module_classes``), the module of each class (``class_module``), the
+    class ``identify`` found for each module it was asked about
+    (``class_of``), the separating set of each class
+    (``separating_set``) and, in ``ext_tables``, the Hall numbers of each
+    pair (a, c) from one walk of Ext¹(c, a) (``hall.ext_hall_number``).
+    The memos belong to this quiver, so quivers over different primes never
+    share them.
     """
 
     def __init__(self, spec: AlgebraSpec, field: PrimeField,
@@ -98,6 +101,9 @@ class ARQuiver:
         self._classes: dict[tuple[int, ...], tuple[MultiplicityVector, ...]] = {}
         self._identified: dict[Representation, MultiplicityVector] = {}
         self._separating: dict[MultiplicityVector, tuple[int, ...]] = {}
+        self._modules: dict[MultiplicityVector, Representation] = {}
+        self.ext_tables: dict[tuple[MultiplicityVector, MultiplicityVector],
+                              dict[MultiplicityVector, int]] = {}
 
     def vertex(self, vertex_id: str) -> ARVertex:
         return self.by_id[vertex_id]
@@ -244,11 +250,15 @@ class ARQuiver:
         return sep
 
     def class_module(self, mv) -> Representation:
-        parts = []
-        for v in self.vertices:
-            count = mv.get(v.id)
-            parts.extend([v.rep] * count)
-        return direct_sum(self.spec, self.field, parts)
+        """The direct sum of the knitted indecomposables in mv, memoized
+        per class."""
+        m = self._modules.get(mv)
+        if m is None:
+            parts = []
+            for v in self.vertices:
+                parts.extend([v.rep] * mv.get(v.id))
+            m = self._modules[mv] = direct_sum(self.spec, self.field, parts)
+        return m
 
 
 def _hom_check(source: Representation, target: Representation,
@@ -511,8 +521,6 @@ def compare_quiver_shapes(quivers: Mapping[int, ARQuiver]) -> FieldIndependenceR
 def check_field_independence(spec: AlgebraSpec, primes: Sequence[int],
                              config: KnitConfig | None = None) -> FieldIndependenceReport:
     """Knit over each prime and compare the shapes (``compare_quiver_shapes``)."""
-    if len(primes) < 2:
-        raise ValueError("need at least two primes")
     return compare_quiver_shapes({p: knit(spec, p, config) for p in primes})
 
 

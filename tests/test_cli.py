@@ -258,13 +258,13 @@ class TestCache:
         assert len(cached) == 3
 
     @pytest.mark.parametrize("fault", ["zeroed_matrix", "truncated_json",
-                                       "doctored_mesh"])
+                                       "doctored_mesh", "truncated_mesh"])
     def test_bad_cache_entry_is_recomputed(self, capsys, tmp_path, monkeypatch,
                                            fault):
         """A zeroed matrix makes the cached 1-1 decomposable (dim End = 2),
-        and a zeroed map in the stored mesh ending at 1-0 is no longer onto;
-        each must be rejected on load, not reported as a failed
-        verification."""
+        a zeroed map in the stored mesh ending at 1-0 is no longer onto, and
+        that mesh without its η block has no η for its middle term; each
+        must be rejected on load, not reported as a failed verification."""
         code, uncached, _ = invoke(capsys, "verify", "--algebra", algebra("a2"))
         assert code == 0
         monkeypatch.setenv("HALLIE_CACHE_DIR", str(tmp_path))
@@ -282,6 +282,10 @@ class TestCache:
             for nu in doc["meshes"]["1-0"]["nu"]:
                 for vx, rows in nu.items():
                     nu[vx] = [[0] * len(row) for row in rows]
+            path.write_text(json.dumps(doc))
+        elif fault == "truncated_mesh":
+            doc = json.loads(good)
+            doc["meshes"]["1-0"]["eta"].pop()
             path.write_text(json.dumps(doc))
         else:
             path.write_text(good[:len(good) // 2])

@@ -276,14 +276,15 @@ class TestOracleEquivalenceReport:
 
 
 class TestStrategyConfig:
-    """The subspace route ARFamily counts with against the hom oracle."""
+    """The Ext route ARFamily counts with against the grass route and the
+    hom oracle."""
 
     def test_hom_strategy_matches_grass(self, families):
         fam = families["a3_bound"]
         s3, s2, p2 = (MultiplicityVector.unit(vid)
                       for vid in ("0-0-1", "0-1-0", "0-1-1"))
-        n1, n2, m = (fam.module(3, mv) for mv in (s3, s2, p2))
         ar = fam.quiver(3)
+        n1, n2, m = (ar.class_module(mv) for mv in (s3, s2, p2))
         assert hall_number_grass(ar, n1, n2, m) == 1
         assert hall_number_hom(ar, n1, n2, m) == 1
         assert fam.count(s3, s2, p2, 3) == 1
@@ -388,24 +389,6 @@ class TestExtRoute:
         ar.class_aut_order = lambda mv: real(mv) + (mv == P1)
         with pytest.raises(NonIntegralOrbitCount):
             hall_numbers_ext(ar, S2, S1, ar.vertex("0-1").rep, ar.vertex("1-0").rep)
-
-    def test_grass_route_past_the_walk_bound(self, families, algebras, monkeypatch):
-        """With no Ext walk allowed, every count falls back to the grass
-        route, and the polynomials do not change."""
-        calls = []
-        real = hall.hall_number_grass
-        monkeypatch.setattr(hall, "hall_number_grass",
-                            lambda *args: calls.append(args) or real(*args))
-        monkeypatch.setattr(hall, "EXT_WALK_BOUND", 0)
-        fam = ARFamily(algebras["a3"])
-        hall_lie_table(fam)
-        assert calls
-        reference = families["a3"]
-        hall_lie_table(reference)
-        for poly in fam.known_polynomials():
-            twin = reference.polynomial(poly.sub_class, poly.quot_class,
-                                        poly.total_class)
-            assert (poly.coefficients, poly.counts) == (twin.coefficients, twin.counts)
 
 
 class TestCacheLoad:

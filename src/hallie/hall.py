@@ -20,11 +20,14 @@ counting routes are provided:
   knitted vertices whose Hom dimensions, read off the Hom matrix, tell that
   class apart from every other class of its dimension vector.  It is the
   reference route of ``check_oracle_equivalence``.
-* ``hall_number_hom`` enumerates homomorphisms n1 -> m, one per orbit of
-  the nonzero scalars, keeps the injective ones with the right cokernel
-  class (compared on every knitted vertex), and divides by |Aut(n1)|.  It
-  is the independent oracle of ``check_oracle_equivalence``, which compares
-  all three routes.
+* ``hall_number_hom`` enumerates the injective homomorphisms n1 -> m with
+  ``linalg.injective_images``: one row of each map at a time against an
+  incremental echelon, so a row that falls in the span of the rows above
+  it cuts off its whole subtree, and the first row one combination per
+  orbit of the nonzero scalars.  Each distinct image is classified once,
+  its cokernel compared on every knitted vertex, and must be reached by
+  exactly |Aut(n1)| maps.  It is the independent oracle of
+  ``check_oracle_equivalence``, which compares all three routes.
 
 The routes ask the knitted ``ARQuiver`` for what it memoizes: the classes
 of each dimension vector, the class of each module they identify and the
@@ -56,9 +59,9 @@ from .errors import (EtaNotInjective, ExtDimensionMismatch, InconsistentCounts,
                      NonIntegralCoefficients, NonIntegralOrbitCount, NotDirected,
                      ResourceBound)
 from .knit import ARQuiver, KnitConfig, ar_from_doc, ar_sequence, ar_to_doc, knit
-from .linalg import (FMatrix, echelon, gaussian_binomial, intersect_subspaces,
-                     is_prime, preimage_subspace, row_space, scalar_orbits,
-                     subspaces_between)
+from .linalg import (FMatrix, gaussian_binomial, injective_images,
+                     intersect_subspaces, is_prime, preimage_subspace, row_space,
+                     scalar_orbits, subspaces_between)
 from .reps import (MultiplicityVector, Representation, SubspaceTuple, aut_order,
                    check_relations, ext_space, hom_dim, hom_space, matches_class,
                    middle_term, quotient_by_subtuple, restrict_to_subtuple)
@@ -239,17 +242,24 @@ def _separating_coordinates(ar: ARQuiver,
 def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
                     m: Representation, hom_bound: int = 1_000_000,
                     aut_bound: int = 1_000_000) -> int:
-    """Count the same set through injective homomorphisms n1 -> m with
-    cokernel isomorphic to n2, divided by |Aut(n1)|.
+    """Count the same set through injective homomorphisms n1 -> m: the
+    images of those maps whose cokernel is isomorphic to n2.
 
-    The hom space is walked incrementally (one basis-element addition per
-    step), one map per orbit of the nonzero scalars, each counted with the
-    orbit size: scaling by a nonzero scalar keeps injectivity and the image,
-    and acts freely on nonzero maps.  The cokernel verdict is cached per
-    image subspace, so the work per injective map is one echelon reduction
-    per vertex.  The cokernel is classified on every knitted vertex, which
-    keeps this route independent of the separating sets of the subspace
-    route.
+    ``linalg.injective_images`` walks Hom(n1, m) one row of fᵀ at a time
+    and tallies the injective maps by image.  Its proof sketch covers the
+    two shortcuts: a final row in the span of the rows above it at its
+    vertex makes every completion non-injective, so that subtree is
+    skipped; and the first row is walked one combination per orbit of the
+    nonzero scalars, which keep injectivity and the image.  Each distinct
+    image is a submodule U ≅ n1, classified once: the cokernel m/U is
+    compared on every knitted vertex, which keeps this route independent of
+    the separating sets of the subspace route.
+
+    Checked at run time: the injective maps with image U are the
+    isomorphisms n1 -> U followed by the inclusion, and precomposition by
+    Aut(n1) acts freely and transitively on them, so every image must be
+    reached by exactly |Aut(n1)| maps (else ``NonIntegralOrbitCount``).
+    ``aut_order`` counts |Aut(n1)| with the same walker over End(n1).
     """
     if not _dim_law_holds(n1, n2, m):
         return 0
@@ -261,50 +271,21 @@ def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
             f"hom enumeration needs {p}^{h} maps > bound {hom_bound}")
     aut = aut_order(n1, bound=aut_bound)
     expected_quot = list(enumerate(ar.hom_vectors(ar.class_of(n2))[0]))
-    verdict_by_image: dict[tuple, bool] = {}
     verts = m.spec.vertices
     field = m.field
-    inv = field.inverses
-    sub_dims = n1.dims
-
-    # current[i] holds f transposed: rows indexed by n1 coordinates, so one
-    # echelon pass per vertex is both the injectivity test and the canonical
-    # image basis.  live vertices are the ones with sub coordinates.
-    live = [i for i in range(len(verts)) if sub_dims[i]]
-    current = [[[0] * m.dims[i] for _ in range(sub_dims[i])]
-               for i in range(len(verts))]
-    # odometer deltas per basis element, transposed to match current
-    deltas = [[(i, c, r, val) for i in live
-               for r, row in enumerate(f[verts[i]].rows)
-               for c, val in enumerate(row) if val]
-              for f in basis]
-
+    images = injective_images(
+        n1.dims, m.dims, [[f[v].transpose().rows for v in verts] for f in basis],
+        p, field.inverses)
     count = 0
-    for weight in scalar_orbits(current, deltas, p):
-        key_parts = []
-        for i in live:
-            rows = [row[:] for row in current[i]]
-            if len(echelon(rows, p, inv)) < len(rows):
-                break  # not injective at vertex i
-            key_parts.append(tuple(map(tuple, rows)))
-        else:
-            key = tuple(key_parts)
-            verdict = verdict_by_image.get(key)
-            if verdict is None:
-                bases = []
-                for i in range(len(verts)):
-                    rows = key[live.index(i)] if i in live else ()
-                    bases.append(FMatrix(field, len(rows), m.dims[i], rows))
-                tup = SubspaceTuple(m, tuple(bases))
-                quot, _ = quotient_by_subtuple(m, tup)
-                verdict = matches_class(quot, ar, expected_quot)
-                verdict_by_image[key] = verdict
-            if verdict:
-                count += weight
-    if count % aut:
-        raise NonIntegralOrbitCount(
-            f"{count} injective maps not divisible by |Aut| = {aut}")
-    return count // aut
+    for key, maps in images.items():
+        if maps != aut:
+            raise NonIntegralOrbitCount(
+                f"{maps} injective maps onto one image, but |Aut| = {aut}")
+        bases = tuple(FMatrix(field, len(rows), d, rows)
+                      for rows, d in zip(key, m.dims))
+        quot, _ = quotient_by_subtuple(m, SubspaceTuple(m, bases))
+        count += matches_class(quot, ar, expected_quot)
+    return count
 
 
 def hall_numbers_ext(ar: ARQuiver, a: MultiplicityVector, c: MultiplicityVector,
@@ -766,14 +747,11 @@ def _oracle_equivalence_slice(args) -> tuple[int, int, int, list]:
     module = ar.class_module
     compared = nonzero = skipped = 0
     mismatches = []
-    max_total = max(sum(d) for d in dim_vectors)
     for d in dim_vectors:
         for b in enumerate_module_classes(ar, d):
             m = module(b)
             for e in itertools.product(*(range(x + 1) for x in d)):
                 rest = tuple(x - y for x, y in zip(d, e))
-                if sum(e) > max_total or sum(rest) > max_total:
-                    continue
                 for a_mv in enumerate_module_classes(ar, e):
                     n1 = module(a_mv)
                     for c_mv in enumerate_module_classes(ar, rest):

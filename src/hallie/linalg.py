@@ -248,9 +248,10 @@ def echelon(rows: list[list[int]], p: int, inv: Sequence[int]) -> list[int]:
 
 def odometer(mats: list[list[list[int]]],
              deltas: Sequence[Sequence[tuple[int, int, int, int]]],
-             p: int) -> Iterator[None]:
-    """Walk every F_p-combination of h basis elements, yielding once per
-    combination with ``mats`` holding it.
+             p: int) -> Iterator[int]:
+    """Walk every F_p-combination of h basis elements, yielding 1 (its
+    weight, as in ``scalar_orbits``) per combination with ``mats`` holding
+    it.
 
     ``mats`` is a list of mutable matrices, zero on entry; basis element k
     is the flat list ``deltas[k]`` of ``(i, r, c, v)``, meaning v at row r,
@@ -259,7 +260,7 @@ def odometer(mats: list[list[list[int]]],
     all p**h combinations, each exactly once.
     """
     digits = [0] * len(deltas)
-    yield
+    yield 1
     for _ in range(p ** len(deltas) - 1):
         k = 0
         while True:
@@ -271,7 +272,7 @@ def odometer(mats: list[list[list[int]]],
                 break
             digits[k] = 0
             k += 1
-        yield
+        yield 1
 
 
 def scalar_orbits(mats: list[list[list[int]]],
@@ -297,6 +298,110 @@ def scalar_orbits(mats: list[list[list[int]]],
             row[c] = (row[c] + v) % p
         for _ in odometer(mats, deltas[:k], p):
             yield p - 1
+
+
+def injective_images(row_dims: Sequence[int], col_dims: Sequence[int],
+                     basis: Sequence[Sequence[Sequence[Sequence[int]]]],
+                     p: int, inv: Sequence[int]) -> dict[tuple, int]:
+    """The maps in the span of ``basis`` whose rows are independent at every
+    vertex, tallied by image: {image key: number of maps}.
+
+    A map has, at vertex i, a ``row_dims[i]`` x ``col_dims[i]`` matrix, and
+    ``basis[k][i]`` holds the rows of element k there (for a map f of
+    representations, the rows of fᵀ: then independent rows mean f injective,
+    and their span is the image).  The key of an image is, per vertex, the
+    rows of the reduced echelon basis of that span (``()`` where the row
+    dimension is 0).  ``basis`` may be dependent: each map of the span is
+    counted once.  ``inv`` is the field's inverse table.
+
+    The coordinates are ordered by (vertex, row, column), and the basis is
+    brought to reduced echelon form in that order.  Each element's pivot
+    then lies in one row, its level, and the element is zero on every
+    earlier row.  So once the elements of the levels up to row L are fixed,
+    row L is final whatever the later coefficients are: the walk is a tower
+    of ``odometer`` walks, one per row, and it checks each row when it
+    becomes final.
+    * Pruning: a final row in the span of the earlier rows of its vertex
+      stays so in every completion, so none of them is injective and the
+      subtree is skipped.  This only drops maps that the tally excludes.
+    * Scalar orbits: the first row is the combination of the level-0
+      elements alone, and it must be nonzero.  Scaling by λ ∈ F_p^* keeps
+      independence and the image, and every map whose level-0 coefficients
+      are nonzero is λ·(u + w) for exactly one λ, one orbit representative
+      u of those coefficients and one combination w of the later levels.
+      So level 0 is walked one combination per orbit (``scalar_orbits``,
+      weight p − 1) and every later level in full.
+    * The last row: each step of its level ends one map, and the image
+      depends only on that row reduced against the rows above it.  So its
+      steps are tallied by the reduced row, and each distinct one is
+      echeloned once.
+    The weights of all keys sum to the number of injective maps.
+    """
+    levels = [(i, r) for i, n in enumerate(row_dims) for r in range(n)]
+    coords = [(L, c) for L, (i, _) in enumerate(levels) for c in range(col_dims[i])]
+    flat = [[x for i, r in levels for x in element[i][r]] for element in basis]
+    pivots = echelon(flat, p, inv)
+    deltas: list[list[list[tuple[int, int, int, int]]]] = [[] for _ in levels]
+    for row, pivot in zip(flat, pivots):
+        deltas[coords[pivot][0]].append(
+            [(0, L, c, x) for (L, c), x in zip(coords, row) if x])
+    current = [[[0] * col_dims[i] for i, _ in levels]]
+    rows = current[0]
+    parts: list[tuple] = [() for _ in row_dims]
+    images: dict[tuple, int] = {}
+    last = len(levels) - 1
+
+    def reduce(span: Sequence, v: Sequence[int]) -> tuple[int, ...]:
+        for c, e in span:
+            f = v[c]
+            if f:
+                v = [(a - f * b) % p for a, b in zip(v, e)]
+        return tuple(v)
+
+    def extend(span: Sequence, v: tuple[int, ...]) -> list | None:
+        """The reduced echelon rows of span + v for v reduced against span,
+        or None when v is zero."""
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is None:
+            return None
+        f = inv[v[lead]]
+        v = tuple((x * f) % p for x in v)
+        return sorted([(c, e) if not e[lead] else
+                       (c, tuple((a - e[lead] * b) % p for a, b in zip(e, v)))
+                       for c, e in span] + [(lead, v)])
+
+    def walk(L: int, weight: int, span: Sequence) -> None:
+        # span: the reduced echelon rows (pivot, row) of the final rows of
+        # the current vertex above row L, sorted by pivot
+        i, r = levels[L]
+        steps = (scalar_orbits if L == 0 else odometer)(current, deltas[L], p)
+        if L == last:
+            finals: dict[tuple, int] = {}
+            for step in steps:
+                v = reduce(span, rows[L])
+                finals[v] = finals.get(v, 0) + step
+            for v, n in finals.items():
+                grown = extend(span, v)
+                if grown is not None:
+                    parts[i] = tuple(e for _, e in grown)
+                    key = tuple(parts)
+                    images[key] = images.get(key, 0) + weight * n
+            return
+        for step in steps:
+            grown = extend(span, reduce(span, rows[L]))
+            if grown is None:
+                continue  # row L dependent: no completion is injective
+            if r < row_dims[i] - 1:
+                walk(L + 1, weight * step, grown)
+            else:
+                parts[i] = tuple(e for _, e in grown)
+                walk(L + 1, weight * step, ())
+
+    if levels:
+        walk(0, 1, ())
+    else:
+        images[tuple(parts)] = 1
+    return images
 
 
 def rref(m: FMatrix) -> RREF:

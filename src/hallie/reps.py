@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from .errors import (DecompositionBudgetExceeded, NegativeMultiplicity,
                      NonUnitriangularHomMatrix, NotClosed, ResourceBound)
 from .linalg import (FMatrix, PrimeField, coords_in_rowspace, echelon,
-                     row_space, rref, scalar_orbits, solve_nullspace)
+                     injective_images, row_space, rref, solve_nullspace)
 
 if TYPE_CHECKING:
     from .algebra import AlgebraSpec
@@ -834,21 +834,16 @@ def aut_order(m: Representation, bound: int = 1_000_000) -> int:
 def _count_invertible_combinations(m: Representation,
                                    basis: list[dict[str, FMatrix]]) -> int:
     """Count the F_p-combinations of an endomorphism basis that are
-    invertible at every vertex, walking one per orbit of the nonzero
-    scalars (scaling keeps invertibility) and weighting it by the orbit
-    size."""
-    p = m.field.p
-    inv = m.field.inverses
+    invertible at every vertex: the sum of the weights of
+    ``linalg.injective_images``, since a square matrix is invertible
+    exactly when its rows are independent.  By that walker's proof sketch,
+    a row in the span of the rows above it at its vertex leaves no
+    invertible completion, so its subtree is skipped, and the first row is
+    walked one combination per orbit of the nonzero scalars, which keep
+    invertibility, weighted by the orbit size.
+    """
     verts = m.spec.vertices
-    live = [i for i in range(len(verts)) if m.dims[i]]
-    current = [[[0] * d for _ in range(d)] for d in m.dims]
-    deltas = [[(i, r, c, val) for i in live
-               for r, row in enumerate(f[verts[i]].rows)
-               for c, val in enumerate(row) if val]
-              for f in basis]
-    count = 0
-    for weight in scalar_orbits(current, deltas, p):
-        if all(len(echelon([row[:] for row in current[i]], p, inv)) == m.dims[i]
-               for i in live):
-            count += weight
-    return count
+    images = injective_images(m.dims, m.dims,
+                              [[f[v].rows for v in verts] for f in basis],
+                              m.field.p, m.field.inverses)
+    return sum(images.values())

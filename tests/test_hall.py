@@ -15,6 +15,9 @@ from hallie.reps import (ExtSpace, MultiplicityVector, direct_sum, hom_dim,
                          restrict_to_subtuple, simple_rep, sub_quotient)
 
 
+S1, S2, P1 = (MultiplicityVector.unit(vid) for vid in ("1-0", "0-1", "1-1"))
+
+
 @pytest.fixture(scope="module")
 def a2_setup(algebras):
     spec = algebras["a2"]
@@ -274,6 +277,27 @@ class TestOracleEquivalenceReport:
         assert rep.ok
         assert rep.compared > 0 and rep.skipped == 0
 
+    def test_zero_total_dimension_is_empty(self, algebras):
+        from hallie.hall import check_oracle_equivalence
+        rep = check_oracle_equivalence(algebras["a2"], (2,), max_total_dim=0)
+        assert rep.ok
+        assert rep.compared == rep.nonzero == rep.skipped == 0
+
+    @pytest.mark.parametrize("sub,quot,total", [(S2, S1, P1), (S1, S1, S1 + S1)])
+    def test_images_reached_by_other_than_aut_maps_raise(self, algebras, monkeypatch,
+                                                         sub, quot, total):
+        """Every image of an injective map is reached by exactly |Aut n1|
+        maps; with |Aut| doctored to twice its value the hom route must
+        raise.  On S1 ⊂ S1 + S1 at p = 3 the doctored total 4·2 would still
+        divide by 2·2."""
+        ar = knit(algebras["a2"], 3)
+        n1, n2, m = (ar.class_module(mv) for mv in (sub, quot, total))
+        assert hall_number_hom(ar, n1, n2, m) > 0
+        real = hall.aut_order
+        monkeypatch.setattr(hall, "aut_order", lambda rep, bound: 2 * real(rep, bound))
+        with pytest.raises(NonIntegralOrbitCount):
+            hall_number_hom(ar, n1, n2, m)
+
 
 class TestStrategyConfig:
     """The Ext route ARFamily counts with against the grass route and the
@@ -330,9 +354,6 @@ class TestDegreeBound:
         s1 = MultiplicityVector.unit("1-0")
         with pytest.raises(InconsistentCounts, match="exceeds"):
             fam.polynomial(s1, s1, MultiplicityVector({"1-0": 2}))
-
-
-S1, S2, P1 = (MultiplicityVector.unit(vid) for vid in ("1-0", "0-1", "1-1"))
 
 
 class TestExtRoute:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hallie.errors import ResourceBound
 from hallie.linalg import (FMatrix, PrimeField, coords_in_rowspace, echelon,
                            enumerate_subspaces, enumerate_superspaces,
-                           gaussian_binomial, intersect_subspaces, is_prime,
-                           odometer, preimage_subspace, quotient_projection,
+                           gaussian_binomial, injective_images,
+                           intersect_subspaces, is_prime, odometer, preimage_subspace, quotient_projection,
                            row_space, rref, scalar_orbits, solve_nullspace,
                            subspace_contains, subspaces_between)
 
@@ -182,6 +182,67 @@ class TestScalarOrbits:
             return counts
 
         assert counts_by_support(scalar_orbits) == counts_by_support(odometer)
+
+
+class TestInjectiveImages:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("k,n", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)])
+    def test_full_matrix_space(self, p, k, n):
+        """Every k x n matrix: the images are the k-dimensional subspaces
+        of F_p^n, each reached by the |GL_k(F_p)| bases of it."""
+        units = [[[[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(k)]]
+                 for i in range(k) for j in range(n)]
+        images = injective_images([k], [n], units, p, PrimeField(p).inverses)
+        gl = 1
+        for i in range(k):
+            gl *= p ** k - p ** i
+        assert len(images) == gaussian_binomial(n, k, p)
+        assert set(images.values()) == {gl}
+        for (rows,) in images:
+            assert rref(mat(PrimeField(p), rows)).matrix.rows == rows
+            assert len(rows) == k
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.sampled_from([2, 3]),
+           shape=st.tuples(st.integers(0, 2), st.integers(0, 3),
+                           st.integers(0, 2), st.integers(0, 3)),
+           data=st.data())
+    def test_two_blocks_match_brute_force(self, p, shape, data):
+        """Random generators on two vertices, with a combination of the
+        others appended so the span is dependent, against a tally of every
+        distinct map of the span by its per-vertex row spaces."""
+        k0, n0, k1, n1 = shape
+        row_dims, col_dims = (k0, k1), (n0, n1)
+        entry = st.integers(0, p - 1)
+
+        def block(k, n):
+            return st.lists(st.lists(entry, min_size=n, max_size=n),
+                            min_size=k, max_size=k)
+        gens = data.draw(st.lists(st.tuples(block(k0, n0), block(k1, n1)),
+                                  min_size=0, max_size=3))
+        if gens:
+            coeffs = data.draw(st.lists(entry, min_size=len(gens), max_size=len(gens)))
+            gens.append(tuple(
+                [[sum(x * g[i][r][c] for x, g in zip(coeffs, gens)) % p
+                  for c in range(col_dims[i])] for r in range(row_dims[i])]
+                for i in range(2)))
+        inv = PrimeField(p).inverses
+        mats = [[[0] * n for _ in range(k)] for k, n in zip(row_dims, col_dims)]
+        deltas = [[(i, r, c, v) for i in range(2) for r, row in enumerate(g[i])
+                   for c, v in enumerate(row) if v] for g in gens]
+        maps = {tuple(tuple(map(tuple, m)) for m in mats)
+                for _ in odometer(mats, deltas, p)}
+        want = {}
+        for f in maps:
+            key = []
+            for block_rows, k in zip(f, row_dims):
+                rows = [list(row) for row in block_rows]
+                if len(echelon(rows, p, inv)) < k:
+                    break
+                key.append(tuple(map(tuple, rows)))
+            else:
+                want[tuple(key)] = want.get(tuple(key), 0) + 1
+        assert injective_images(row_dims, col_dims, gens, p, inv) == want
 
 
 class TestNullspace:

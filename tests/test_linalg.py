@@ -8,8 +8,9 @@ from hallie.errors import ResourceBound
 from hallie.linalg import (FMatrix, PrimeField, coords_in_rowspace, echelon,
                            enumerate_subspaces, enumerate_superspaces,
                            gaussian_binomial, injective_images,
-                           intersect_subspaces, is_prime, odometer, preimage_subspace, quotient_projection,
-                           row_space, rref, scalar_orbits, solve_nullspace,
+                           intersect_subspaces, is_prime, odometer,
+                           preimage_subspace, quotient_projection, row_space,
+                           rref, scalar_orbits, solve_nullspace,
                            subspace_contains, subspaces_between)
 
 F2 = PrimeField(2)

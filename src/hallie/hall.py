@@ -21,12 +21,13 @@ counting routes are provided:
   class apart from every other class of its dimension vector.  It is the
   reference route of ``check_oracle_equivalence``.
 * ``hall_number_hom`` enumerates the injective homomorphisms n1 -> m with
-  ``linalg.injective_images``: one row of each map at a time against an
-  incremental echelon, so a row that falls in the span of the rows above
-  it cuts off its whole subtree, and the first row one combination per
-  orbit of the nonzero scalars.  Each distinct image is classified once,
-  its cokernel compared on every knitted vertex, and must be reached by
-  exactly |Aut(n1)| maps.  It is the independent oracle of
+  ``linalg.injective_images``: one map per orbit of Π GL_{n_i}(F_p) for
+  n1 = ⊕ X_i^{n_i}, that is one n_i-dimensional subspace of Hom(X_i, m)
+  per distinct summand, weighted by the orbit size, with the summands
+  added against an incremental echelon so that rows falling in the span
+  of the rows above them cut off the subtree.  Each distinct image is
+  classified once, its cokernel compared on every knitted vertex, and must
+  be reached by exactly |Aut(n1)| maps.  It is the independent oracle of
   ``check_oracle_equivalence``, which compares all three routes.
 
 The routes ask the knitted ``ARQuiver`` for what it memoizes: the classes
@@ -63,7 +64,7 @@ from .linalg import (FMatrix, gaussian_binomial, injective_images,
                      intersect_subspaces, is_prime, preimage_subspace, row_space,
                      scalar_orbits, subspaces_between)
 from .reps import (MultiplicityVector, Representation, SubspaceTuple, aut_order,
-                   check_relations, ext_space, hom_dim, hom_space, matches_class,
+                   check_relations, ext_space, hom_blocks, hom_dim, matches_class,
                    middle_term, quotient_by_subtuple, restrict_to_subtuple)
 
 
@@ -245,39 +246,41 @@ def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
     """Count the same set through injective homomorphisms n1 -> m: the
     images of those maps whose cokernel is isomorphic to n2.
 
-    ``linalg.injective_images`` walks Hom(n1, m) one row of fᵀ at a time
-    and tallies the injective maps by image.  Its proof sketch covers the
-    two shortcuts: a final row in the span of the rows above it at its
-    vertex makes every completion non-injective, so that subtree is
-    skipped; and the first row is walked one combination per orbit of the
-    nonzero scalars, which keep injectivity and the image.  Each distinct
-    image is a submodule U ≅ n1, classified once: the cokernel m/U is
-    compared on every knitted vertex, which keeps this route independent of
-    the separating sets of the subspace route.
+    ``linalg.injective_images`` walks Hom(n1, m) one orbit of
+    G = Π GL_{n_i}(F_p) at a time, for n1 = ⊕ X_i^{n_i} as ``n1.runs``
+    records it (``reps.hom_blocks``: a basis of Hom(X_i, m) per distinct
+    summand).  G mixes the copies of each summand; it acts freely on the
+    injective maps and keeps their image.  Its proof sketch covers the
+    slice (on an injective map the copies' maps of X_i are independent, so
+    each orbit has one member whose copies are the reduced echelon basis
+    of an n_i-dimensional subspace of Hom(X_i, m)) and the pruning (rows
+    that fall in the span of the rows above them at their vertex leave no
+    injective completion).  Each distinct image is a submodule U ≅ n1,
+    classified once: the cokernel m/U is compared on every knitted vertex,
+    which keeps this route independent of the separating sets of the
+    subspace route.
 
     Checked at run time: the injective maps with image U are the
     isomorphisms n1 -> U followed by the inclusion, and precomposition by
     Aut(n1) acts freely and transitively on them, so every image must be
     reached by exactly |Aut(n1)| maps (else ``NonIntegralOrbitCount``).
-    ``aut_order`` counts |Aut(n1)| with the same walker over End(n1).
+    ``aut_order`` counts |Aut(n1)| with the same walker over End(n1), on
+    the same runs.  Raises ``ResourceBound`` when p^{dim Hom(n1, m)}
+    exceeds ``hom_bound`` or p^{dim End(n1)} exceeds ``aut_bound``.
     """
     if not _dim_law_holds(n1, n2, m):
         return 0
     p = m.field.p
-    basis = hom_space(n1, m)
-    h = len(basis)
+    blocks = hom_blocks(n1, m)
+    h = sum(n * len(basis) for n, _, basis in blocks)
     if p ** h > hom_bound:
         raise ResourceBound(
             f"hom enumeration needs {p}^{h} maps > bound {hom_bound}")
     aut = aut_order(n1, bound=aut_bound)
     expected_quot = list(enumerate(ar.hom_vectors(ar.class_of(n2))[0]))
-    verts = m.spec.vertices
     field = m.field
-    images = injective_images(
-        n1.dims, m.dims, [[f[v].transpose().rows for v in verts] for f in basis],
-        p, field.inverses)
     count = 0
-    for key, maps in images.items():
+    for key, maps in injective_images(m.dims, blocks, field).items():
         if maps != aut:
             raise NonIntegralOrbitCount(
                 f"{maps} injective maps onto one image, but |Aut| = {aut}")
@@ -702,7 +705,8 @@ def check_oracle_equivalence(spec: AlgebraSpec, primes: Sequence[int],
 
     Triples whose hom-side enumeration exceeds the configured resource
     bounds are recorded as skipped (the hom oracle's precondition fails
-    there).  On every other triple the grass and hom counts must agree
+    there); the hom route runs first, so a skipped triple is not counted
+    by the other routes.  On every other triple the grass and hom counts must agree
     exactly, and so must the Ext route's (walked once per (a, c) on the
     slice's quiver).  A mismatch is recorded as (p, a, c, b, grass, hom,
     ext).  With ``jobs > 1`` the ambient dimension vectors are sharded
@@ -756,7 +760,6 @@ def _oracle_equivalence_slice(args) -> tuple[int, int, int, list]:
                     n1 = module(a_mv)
                     for c_mv in enumerate_module_classes(ar, rest):
                         n2 = module(c_mv)
-                        grass = hall_number_grass(ar, n1, n2, m)
                         try:
                             hom = hall_number_hom(ar, n1, n2, m,
                                                   hom_bound=hom_bound,
@@ -764,6 +767,7 @@ def _oracle_equivalence_slice(args) -> tuple[int, int, int, list]:
                         except ResourceBound:
                             skipped += 1
                             continue
+                        grass = hall_number_grass(ar, n1, n2, m)
                         compared += 1
                         if grass:
                             nonzero += 1

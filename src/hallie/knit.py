@@ -251,13 +251,14 @@ class ARQuiver:
 
     def class_module(self, mv) -> Representation:
         """The direct sum of the knitted indecomposables in mv, memoized
-        per class."""
+        per class, with its summands and their multiplicities recorded in
+        ``runs`` (the blocks of the hom oracle, ``reps.hom_blocks``)."""
         m = self._modules.get(mv)
         if m is None:
-            parts = []
-            for v in self.vertices:
-                parts.extend([v.rep] * mv.get(v.id))
-            m = self._modules[mv] = direct_sum(self.spec, self.field, parts)
+            runs = tuple((v.rep, mv.get(v.id)) for v in self.vertices if mv.get(v.id))
+            m = direct_sum(self.spec, self.field, [x for x, n in runs for _ in range(n)])
+            m.runs = runs
+            self._modules[mv] = m
         return m
 
 

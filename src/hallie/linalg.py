@@ -7,6 +7,7 @@ whole package works with exact integer arithmetic, no floating point.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -300,108 +301,139 @@ def scalar_orbits(mats: list[list[list[int]]],
             yield p - 1
 
 
-def injective_images(row_dims: Sequence[int], col_dims: Sequence[int],
-                     basis: Sequence[Sequence[Sequence[Sequence[int]]]],
-                     p: int, inv: Sequence[int]) -> dict[tuple, int]:
-    """The maps in the span of ``basis`` whose rows are independent at every
-    vertex, tallied by image: {image key: number of maps}.
+def injective_images(col_dims: Sequence[int],
+                     blocks: Sequence[tuple[int, Sequence[int], Sequence]],
+                     field: PrimeField) -> dict[tuple, int]:
+    """The injective maps out of a direct sum of blocks, tallied by image:
+    {image key: number of maps}.
 
-    A map has, at vertex i, a ``row_dims[i]`` x ``col_dims[i]`` matrix, and
-    ``basis[k][i]`` holds the rows of element k there (for a map f of
-    representations, the rows of fᵀ: then independent rows mean f injective,
-    and their span is the image).  The key of an image is, per vertex, the
-    rows of the reduced echelon basis of that span (``()`` where the row
-    dimension is 0).  ``basis`` may be dependent: each map of the span is
-    counted once.  ``inv`` is the field's inverse table.
+    A block (n, row_dims, basis) is n copies of one summand X, and ``basis``
+    spans the maps out of X: ``basis[k][i]`` holds the ``row_dims[i]`` rows
+    of element k at vertex i, each of ``col_dims[i]`` entries (for a map f
+    of representations, the rows of fᵀ).  A map of the sum is one element
+    of that span per copy, with the rows of every copy stacked at each
+    vertex.  It is injective when those rows are independent at every
+    vertex, and its image is their span.  The key of an image is, per
+    vertex, the rows of the reduced echelon basis of that span (``()``
+    where it is zero).  ``basis`` may be dependent: each map is counted
+    once.  A zero summand (no rows anywhere) has one map, and its block
+    adds nothing.
 
-    The coordinates are ordered by (vertex, row, column), and the basis is
-    brought to reduced echelon form in that order.  Each element's pivot
-    then lies in one row, its level, and the element is zero on every
-    earlier row.  So once the elements of the levels up to row L are fixed,
-    row L is final whatever the later coefficients are: the walk is a tower
-    of ``odometer`` walks, one per row, and it checks each row when it
-    becomes final.
-    * Pruning: a final row in the span of the earlier rows of its vertex
-      stays so in every completion, so none of them is injective and the
-      subtree is skipped.  This only drops maps that the tally excludes.
-    * Scalar orbits: the first row is the combination of the level-0
-      elements alone, and it must be nonzero.  Scaling by λ ∈ F_p^* keeps
-      independence and the image, and every map whose level-0 coefficients
-      are nonzero is λ·(u + w) for exactly one λ, one orbit representative
-      u of those coefficients and one combination w of the later levels.
-      So level 0 is walked one combination per orbit (``scalar_orbits``,
-      weight p − 1) and every later level in full.
-    * The last row: each step of its level ends one map, and the image
-      depends only on that row reduced against the rows above it.  So its
-      steps are tallied by the reduced row, and each distinct one is
-      echeloned once.
+    The walk visits one map per orbit of G = Π GL_n(F_p), one factor per
+    block.  g ∈ G replaces the copies' maps (f_1, …, f_n) of a block by
+    (Σ_k g_{k1} f_k, …, Σ_k g_{kn} f_k): that is precomposition by an
+    automorphism of the sum, so it keeps injectivity and the image.
+    * Independence: on an injective map the copies' maps of a block are
+      linearly independent.  Were Σ c_j f_j = 0 with c ≠ 0, then for any
+      nonzero x ∈ X the element x ⊗ c of X ⊗ F_p^n = X^n would map to
+      (Σ c_j f_j)(x) = 0.
+    * The slice: so they span an n-dimensional subspace W of the block's
+      span.  Exactly one g moves them to the reduced echelon basis of W,
+      in the coordinates of an echelon basis of the span, and f∘g = f
+      forces g = 1 when f is injective.  So each orbit of injective maps
+      has |G| elements and exactly one member whose every block is in
+      that form.  The walk takes, per block, each n-dimensional subspace
+      once (``enumerate_subspaces``), with weight |G|.  For n = 1 these
+      are the lines of the span: one map per orbit of F_p^*, weight p − 1.
+    * Which rows matter: injectivity and the image depend only on the
+      span of each block's rows at each vertex.  A subspace whose own
+      rows are dependent is dropped, and the blocks after the first, which
+      the walk visits once per prefix, are tallied by those spans once,
+      before it.
+    * Pruning: the blocks are added in order against a per-vertex echelon
+      of the rows so far.  Rows that fall in the span of the rows above
+      them stay there in every completion, so the subtree is skipped.
     The weights of all keys sum to the number of injective maps.
     """
-    levels = [(i, r) for i, n in enumerate(row_dims) for r in range(n)]
-    coords = [(L, c) for L, (i, _) in enumerate(levels) for c in range(col_dims[i])]
-    flat = [[x for i, r in levels for x in element[i][r]] for element in basis]
-    pivots = echelon(flat, p, inv)
-    deltas: list[list[list[tuple[int, int, int, int]]]] = [[] for _ in levels]
-    for row, pivot in zip(flat, pivots):
-        deltas[coords[pivot][0]].append(
-            [(0, L, c, x) for (L, c), x in zip(coords, row) if x])
-    current = [[[0] * col_dims[i] for i, _ in levels]]
-    rows = current[0]
-    parts: list[tuple] = [() for _ in row_dims]
+    p = field.p
+    weight = 1
+    walks = []
+    for n, row_dims, basis in blocks:
+        if any(row_dims):
+            for k in range(n):
+                weight *= p ** n - p ** k
+            walks.append(_block_spans(n, row_dims, basis, col_dims, field))
     images: dict[tuple, int] = {}
-    last = len(levels) - 1
+    if not walks:
+        images[tuple(() for _ in col_dims)] = 1
+        return images
+    later = [Counter(walk) for walk in walks[1:]]  # walked once per prefix
+    for key in walks[0]:
+        spans = [[(next(c for c, x in enumerate(row) if x), row) for row in rows]
+                 for rows in key]
+        _add_blocks(later, spans, weight, images, p, field.inverses)
+    return images
 
-    def reduce(span: Sequence, v: Sequence[int]) -> tuple[int, ...]:
+
+def _block_spans(n: int, row_dims: Sequence[int], basis: Sequence,
+                 col_dims: Sequence[int], field: PrimeField) -> Iterator[tuple]:
+    """For each n-dimensional subspace of the span of ``basis`` whose n
+    maps have independent rows at every vertex, the per-vertex reduced
+    echelon rows of those rows (the block's walk in ``injective_images``)."""
+    p, inv = field.p, field.inverses
+    nv = len(col_dims)
+    flat = [[x for i in range(nv) for row in element[i] for x in row]
+            for element in basis]
+    span = flat[:len(echelon(flat, p, inv))]
+    if len(span) < n:
+        return  # fewer than n independent maps: none is injective
+    starts = []  # where each row of a copy begins in the flat layout
+    pos = 0
+    for i in range(nv):
+        starts.append([pos + r * col_dims[i] for r in range(row_dims[i])])
+        pos += row_dims[i] * col_dims[i]
+    for w in enumerate_subspaces(len(span), n, field):
+        maps = [[sum(a * e[c] for a, e in zip(coeffs, span)) % p
+                 for c in range(pos)] for coeffs in w.rows]
+        key = []
+        for i in range(nv):
+            rows = [f[s:s + col_dims[i]] for f in maps for s in starts[i]]
+            if len(echelon(rows, p, inv)) < len(rows):
+                break
+            key.append(tuple(map(tuple, rows)))
+        else:
+            yield tuple(key)
+
+
+def _add_blocks(tallies: Sequence[dict[tuple, int]], spans: list, weight: int,
+                images: dict[tuple, int], p: int, inv: Sequence[int]) -> None:
+    """The walk of ``injective_images`` from the rows so far (per vertex,
+    the reduced echelon rows (pivot, row) of their span, sorted by pivot)
+    through the blocks still to add, tallying each injective completion's
+    image in ``images`` with ``weight`` times its multiplicity."""
+    if not tallies:
+        key = tuple(tuple(e for _, e in span) for span in spans)
+        images[key] = images.get(key, 0) + weight
+        return
+    for key, n in tallies[0].items():
+        grown = []
+        for span, rows in zip(spans, key):
+            span = _grow(span, rows, p, inv)
+            if span is None:
+                break  # dependent: no completion is injective
+            grown.append(span)
+        else:
+            _add_blocks(tallies[1:], grown, weight * n, images, p, inv)
+
+
+def _grow(span: list, rows: Sequence[tuple[int, ...]], p: int,
+          inv: Sequence[int]) -> list | None:
+    """The reduced echelon rows (pivot, row) of span + rows, sorted by
+    pivot, or None when the rows are not independent modulo span."""
+    for v in rows:
         for c, e in span:
             f = v[c]
             if f:
                 v = [(a - f * b) % p for a, b in zip(v, e)]
-        return tuple(v)
-
-    def extend(span: Sequence, v: tuple[int, ...]) -> list | None:
-        """The reduced echelon rows of span + v for v reduced against span,
-        or None when v is zero."""
         lead = next((c for c, x in enumerate(v) if x), None)
         if lead is None:
             return None
         f = inv[v[lead]]
         v = tuple((x * f) % p for x in v)
-        return sorted([(c, e) if not e[lead] else
+        span = sorted([(c, e) if not e[lead] else
                        (c, tuple((a - e[lead] * b) % p for a, b in zip(e, v)))
                        for c, e in span] + [(lead, v)])
-
-    def walk(L: int, weight: int, span: Sequence) -> None:
-        # span: the reduced echelon rows (pivot, row) of the final rows of
-        # the current vertex above row L, sorted by pivot
-        i, r = levels[L]
-        steps = (scalar_orbits if L == 0 else odometer)(current, deltas[L], p)
-        if L == last:
-            finals: dict[tuple, int] = {}
-            for step in steps:
-                v = reduce(span, rows[L])
-                finals[v] = finals.get(v, 0) + step
-            for v, n in finals.items():
-                grown = extend(span, v)
-                if grown is not None:
-                    parts[i] = tuple(e for _, e in grown)
-                    key = tuple(parts)
-                    images[key] = images.get(key, 0) + weight * n
-            return
-        for step in steps:
-            grown = extend(span, reduce(span, rows[L]))
-            if grown is None:
-                continue  # row L dependent: no completion is injective
-            if r < row_dims[i] - 1:
-                walk(L + 1, weight * step, grown)
-            else:
-                parts[i] = tuple(e for _, e in grown)
-                walk(L + 1, weight * step, ())
-
-    if levels:
-        walk(0, 1, ())
-    else:
-        images[tuple(parts)] = 1
-    return images
+    return span
 
 
 def rref(m: FMatrix) -> RREF:

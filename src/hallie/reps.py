@@ -23,9 +23,14 @@ if TYPE_CHECKING:
 
 class Representation:
     """A module over the instantiated algebra: one matrix per arrow plus a
-    dimension vector (indexed by the quiver's vertex order)."""
+    dimension vector (indexed by the quiver's vertex order).
 
-    __slots__ = ("spec", "field", "dims", "maps")
+    ``runs`` is a known decomposition, ((X, n), ...) for X^n ⊕ ..., which
+    ``ARQuiver.class_module`` records on the modules it builds; it is None
+    when none is known.  It is not part of ``key()`` or equality.
+    """
+
+    __slots__ = ("spec", "field", "dims", "maps", "runs")
 
     def __init__(self, spec: "AlgebraSpec", field: PrimeField,
                  dims: Sequence[int], maps: Mapping[str, FMatrix]):
@@ -43,6 +48,7 @@ class Representation:
                 raise ValueError(f"arrow {a.id!r}: matrix {m.shape} != {want}")
             checked[a.id] = m
         self.maps = checked
+        self.runs: tuple[tuple[Representation, int], ...] | None = None
 
     @property
     def total_dim(self) -> int:
@@ -603,7 +609,7 @@ def _is_indecomposable_certified(m: Representation, endos: list[dict[str, FMatri
 
     End is local with residue field F_p iff exactly p^h - p^(h-1) of its p^h
     elements are invertible (the non-invertible ones, p^(h-1) of them, form
-    the radical); this is checked by exact enumeration.
+    the radical); this is checked by exact enumeration (``aut_order``).
     """
     h = len(endos)
     p = m.field.p
@@ -612,7 +618,7 @@ def _is_indecomposable_certified(m: Representation, endos: list[dict[str, FMatri
     if p ** h > bound:
         raise DecompositionBudgetExceeded(
             f"endomorphism certificate needs {p}^{h} enumerations")
-    return _count_invertible_combinations(m, endos) == p ** h - p ** (h - 1)
+    return aut_order(m, bound) == p ** h - p ** (h - 1)
 
 
 def decompose_with_embeddings(m: Representation, seed: int = 0,
@@ -809,41 +815,38 @@ def matches_class(m: Representation, ar: "ARQuiver",
     return True
 
 
-_AUT_CACHE: dict[tuple, int] = {}
+_AUT_CACHE: dict[tuple, tuple[int, int]] = {}
+
+
+def hom_blocks(n1: Representation, m: Representation) -> list[tuple]:
+    """Hom(n1, m) as the blocks of ``linalg.injective_images``: one per run
+    X^n of ``n1.runs``, with a basis of Hom(X, m) as rows of fᵀ, or n1
+    itself once when no decomposition is known."""
+    verts = m.spec.vertices
+    return [(n, x.dims, [[f[v].transpose().rows for v in verts] for f in hom_space(x, m)])
+            for x, n in n1.runs or ((n1, 1),)]
 
 
 def aut_order(m: Representation, bound: int = 1_000_000) -> int:
-    """Order of the automorphism group, by exact enumeration of End(m)."""
-    cache_key = m.key()
-    cached = _AUT_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-    endos = hom_space(m, m)
-    h = len(endos)
+    """Order of the automorphism group: the injective endomorphisms of m,
+    counted by ``linalg.injective_images`` over the blocks of End(m)
+    (``hom_blocks``), one map per orbit of Π GL_n(F_p) over the runs of m.
+    Raises ``ResourceBound`` when p^{dim End(m)} exceeds ``bound``, also
+    when the count is memoized."""
+    key = m.key()
+    cached = _AUT_CACHE.get(key)
+    if cached is None:
+        blocks = hom_blocks(m, m)
+        h = sum(n * len(basis) for n, _, basis in blocks)
+    else:
+        h, count = cached
     p = m.field.p
     if p ** h > bound:
         raise ResourceBound(
             f"automorphism enumeration needs {p}^{h} endomorphisms > bound {bound}")
-    count = _count_invertible_combinations(m, endos)
-    if len(_AUT_CACHE) > 10_000:
-        _AUT_CACHE.clear()
-    _AUT_CACHE[cache_key] = count
+    if cached is None:
+        count = sum(injective_images(m.dims, blocks, m.field).values())
+        if len(_AUT_CACHE) > 10_000:
+            _AUT_CACHE.clear()
+        _AUT_CACHE[key] = (h, count)
     return count
-
-
-def _count_invertible_combinations(m: Representation,
-                                   basis: list[dict[str, FMatrix]]) -> int:
-    """Count the F_p-combinations of an endomorphism basis that are
-    invertible at every vertex: the sum of the weights of
-    ``linalg.injective_images``, since a square matrix is invertible
-    exactly when its rows are independent.  By that walker's proof sketch,
-    a row in the span of the rows above it at its vertex leaves no
-    invertible completion, so its subtree is skipped, and the first row is
-    walked one combination per orbit of the nonzero scalars, which keep
-    invertibility, weighted by the orbit size.
-    """
-    verts = m.spec.vertices
-    images = injective_images(m.dims, m.dims,
-                              [[f[v].rows for v in verts] for f in basis],
-                              m.field.p, m.field.inverses)
-    return sum(images.values())

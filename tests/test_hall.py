@@ -2,15 +2,15 @@ import itertools
 
 import pytest
 
-from hallie import hall
+from hallie import hall, reps
 from hallie.errors import (ExtDimensionMismatch, InconsistentCounts,
-                           NonIntegralOrbitCount)
+                           NonIntegralOrbitCount, ResourceBound)
 from hallie.hall import (ARFamily, HallConfig, closed_subspace_tuples,
                          first_primes, hall_number_grass, hall_number_hom,
                          hall_numbers_ext, lagrange_interpolate)
 from hallie.knit import knit
 from hallie.liealg import hall_lie_table
-from hallie.reps import (ExtSpace, MultiplicityVector, direct_sum, hom_dim,
+from hallie.reps import (ExtSpace, MultiplicityVector, Representation, direct_sum, hom_dim,
                          identify, matches_class, quotient_by_subtuple,
                          restrict_to_subtuple, simple_rep, sub_quotient)
 
@@ -283,13 +283,16 @@ class TestOracleEquivalenceReport:
         assert rep.ok
         assert rep.compared == rep.nonzero == rep.skipped == 0
 
-    @pytest.mark.parametrize("sub,quot,total", [(S2, S1, P1), (S1, S1, S1 + S1)])
+    @pytest.mark.parametrize("sub,quot,total", [
+        (S2, S1, P1), (S1, S1, S1 + S1), (S1 + S1, S1, S1 + S1 + S1),
+        (S1, S1 + S1, S1 + S1 + S1)])
     def test_images_reached_by_other_than_aut_maps_raise(self, algebras, monkeypatch,
                                                          sub, quot, total):
         """Every image of an injective map is reached by exactly |Aut n1|
         maps; with |Aut| doctored to twice its value the hom route must
         raise.  On S1 ⊂ S1 + S1 at p = 3 the doctored total 4·2 would still
-        divide by 2·2."""
+        divide by 2·2.  S1² ⊂ S1³ walks a block of multiplicity 2, one
+        map per orbit of GL_2(F_3)."""
         ar = knit(algebras["a2"], 3)
         n1, n2, m = (ar.class_module(mv) for mv in (sub, quot, total))
         assert hall_number_hom(ar, n1, n2, m) > 0
@@ -297,6 +300,48 @@ class TestOracleEquivalenceReport:
         monkeypatch.setattr(hall, "aut_order", lambda rep, bound: 2 * real(rep, bound))
         with pytest.raises(NonIntegralOrbitCount):
             hall_number_hom(ar, n1, n2, m)
+
+
+class TestHomRuns:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_runs_match_one_block(self, algebras, monkeypatch, p):
+        """The hom route over the runs of each class module against the
+        same modules without runs, walked as one block each (one map per
+        scalar orbit), on every triple of a2 up to total dimension 4."""
+        ar = knit(algebras["a2"], p)
+        pairs = []
+        for d in itertools.product(range(5), repeat=2):
+            if not 0 < sum(d) <= 4:
+                continue
+            for b in ar.module_classes(d):
+                for e in itertools.product(*(range(x + 1) for x in d)):
+                    rest = tuple(x - y for x, y in zip(d, e))
+                    pairs.extend((a_mv, c_mv, b) for a_mv in ar.module_classes(e)
+                                 for c_mv in ar.module_classes(rest))
+        bare = {}
+
+        def stripped(mv):
+            if mv not in bare:
+                m = ar.class_module(mv)
+                bare[mv] = Representation(m.spec, m.field, m.dims, m.maps)
+            return bare[mv]
+
+        def counts(sub):
+            out = []
+            for a_mv, c_mv, b in pairs:
+                try:
+                    out.append(hall_number_hom(ar, sub(a_mv), ar.class_module(c_mv),
+                                               ar.class_module(b), hom_bound=3 ** 7))
+                except ResourceBound:
+                    out.append(None)
+            return out
+
+        with_runs = counts(ar.class_module)
+        monkeypatch.setattr(reps, "_AUT_CACHE", {})
+        assert counts(stripped) == with_runs
+        assert sum(n is not None for n in with_runs) > 100
+        assert any(n > 1 for (a_mv, _, _), count in zip(pairs, with_runs)
+                   if count for _, n in a_mv.items())
 
 
 class TestStrategyConfig:

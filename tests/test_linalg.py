@@ -189,11 +189,11 @@ class TestInjectiveImages:
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("k,n", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)])
     def test_full_matrix_space(self, p, k, n):
-        """Every k x n matrix: the images are the k-dimensional subspaces
-        of F_p^n, each reached by the |GL_k(F_p)| bases of it."""
-        units = [[[[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(k)]]
-                 for i in range(k) for j in range(n)]
-        images = injective_images([k], [n], units, p, PrimeField(p).inverses)
+        """Every k x n matrix, as k copies of the maps F_p -> F_p^n: the
+        images are the k-dimensional subspaces of F_p^n, each reached by
+        the |GL_k(F_p)| bases of it."""
+        units = [[[[1 if c == j else 0 for c in range(n)]]] for j in range(n)]
+        images = injective_images([n], [(k, [1], units)], PrimeField(p))
         gl = 1
         for i in range(k):
             gl *= p ** k - p ** i
@@ -203,47 +203,83 @@ class TestInjectiveImages:
             assert rref(mat(PrimeField(p), rows)).matrix.rows == rows
             assert len(rows) == k
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(p=st.sampled_from([2, 3]),
-           shape=st.tuples(st.integers(0, 2), st.integers(0, 3),
-                           st.integers(0, 2), st.integers(0, 3)),
+           col_dims=st.tuples(st.integers(0, 3), st.integers(0, 3)),
            data=st.data())
-    def test_two_blocks_match_brute_force(self, p, shape, data):
-        """Random generators on two vertices, with a combination of the
-        others appended so the span is dependent, against a tally of every
-        distinct map of the span by its per-vertex row spaces."""
-        k0, n0, k1, n1 = shape
-        row_dims, col_dims = (k0, k1), (n0, n1)
+    def test_two_blocks_match_brute_force(self, p, col_dims, data):
+        """Two blocks of multiplicity 1-3 on two vertices, each
+        spanned by random generators with a combination of them appended
+        (so the span is dependent), against every distinct map of the sum
+        (one element of its block's span per copy) tallied by per-vertex
+        ``echelon``."""
         entry = st.integers(0, p - 1)
-
-        def block(k, n):
-            return st.lists(st.lists(entry, min_size=n, max_size=n),
-                            min_size=k, max_size=k)
-        gens = data.draw(st.lists(st.tuples(block(k0, n0), block(k1, n1)),
-                                  min_size=0, max_size=3))
-        if gens:
-            coeffs = data.draw(st.lists(entry, min_size=len(gens), max_size=len(gens)))
+        inv = PrimeField(p).inverses
+        blocks = []
+        used = [0, 0]  # rows per vertex so far: most draws leave room to inject
+        for _ in range(2):
+            row_dims = data.draw(st.tuples(st.integers(0, 1), st.integers(0, 1)))
+            room = min((c - u for r, c, u in zip(row_dims, col_dims, used) if r),
+                       default=3)
+            n = data.draw(st.integers(1, max(1, min(3, room))))
+            used = [u + n * r for u, r in zip(used, row_dims)]
+            # at most p^6 or 3^4 distinct maps per block for the brute force
+            most = min(3, (6 if p == 2 else 4) // n)
+            element = st.tuples(*(
+                st.lists(st.lists(entry, min_size=c, max_size=c),
+                         min_size=r, max_size=r)
+                for r, c in zip(row_dims, col_dims)))
+            gens = data.draw(st.lists(element, min_size=1, max_size=most))
+            coeffs = data.draw(st.lists(entry, min_size=len(gens),
+                                        max_size=len(gens)))
             gens.append(tuple(
                 [[sum(x * g[i][r][c] for x, g in zip(coeffs, gens)) % p
                   for c in range(col_dims[i])] for r in range(row_dims[i])]
                 for i in range(2)))
-        inv = PrimeField(p).inverses
-        mats = [[[0] * n for _ in range(k)] for k, n in zip(row_dims, col_dims)]
-        deltas = [[(i, r, c, v) for i in range(2) for r, row in enumerate(g[i])
-                   for c, v in enumerate(row) if v] for g in gens]
-        maps = {tuple(tuple(map(tuple, m)) for m in mats)
-                for _ in odometer(mats, deltas, p)}
+            blocks.append((n, row_dims, gens))
+
+        def span(gens, row_dims):
+            mats = [[[0] * c for _ in range(r)] for r, c in zip(row_dims, col_dims)]
+            deltas = [[(i, r, c, v) for i in range(2) for r, row in enumerate(g[i])
+                       for c, v in enumerate(row) if v] for g in gens]
+            return {tuple(tuple(map(tuple, m)) for m in mats)
+                    for _ in odometer(mats, deltas, p)}
+
+        copies = [span(gens, row_dims) for n, row_dims, gens in blocks
+                  for _ in range(n)]
         want = {}
-        for f in maps:
+        for f in itertools.product(*copies):
             key = []
-            for block_rows, k in zip(f, row_dims):
-                rows = [list(row) for row in block_rows]
-                if len(echelon(rows, p, inv)) < k:
+            for i in range(2):
+                rows = [list(row) for g in f for row in g[i]]
+                if len(echelon(rows, p, inv)) < len(rows):
                     break
                 key.append(tuple(map(tuple, rows)))
             else:
                 want[tuple(key)] = want.get(tuple(key), 0) + 1
-        assert injective_images(row_dims, col_dims, gens, p, inv) == want
+        assert injective_images(col_dims, blocks, PrimeField(p)) == want
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("runs", [(1, 1), (1, 2), (2, 1), (1, 1, 1)])
+    def test_runs_of_one_summand_agree(self, p, runs):
+        """k copies of F_p -> F_p^3 give the same tally whether they form
+        one block of multiplicity k or several shorter runs: the walk of
+        the shorter runs leans on the pruning across blocks."""
+        units = [[[[1 if c == j else 0 for c in range(3)]]] for j in range(3)]
+        field = PrimeField(p)
+        merged = injective_images([3], [(sum(runs), [1], units)], field)
+        assert injective_images([3], [(n, [1], units) for n in runs], field) == merged
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_zero_summand_and_empty_sum(self, p):
+        """A zero summand has one map, so it changes nothing; the empty sum
+        has the single empty map."""
+        units = [[[[1 if c == j else 0 for c in range(2)]], []] for j in range(2)]
+        alone = injective_images([2, 1], [(1, [1, 0], units)], PrimeField(p))
+        assert injective_images([2, 1], [(1, [1, 0], units), (2, [0, 0], [])],
+                                PrimeField(p)) == alone
+        assert sum(alone.values()) == p ** 2 - 1
+        assert injective_images([2, 1], [], PrimeField(p)) == {((), ()): 1}
 
 
 class TestNullspace:

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from hallie.algebra import projective_rep
-from hallie.errors import NotClosed
+from hallie import reps
+from hallie.errors import NotClosed, ResourceBound
 from hallie.knit import knit
 from hallie.linalg import FMatrix, PrimeField
 from hallie.reps import (MultiplicityVector, Representation, SubspaceTuple,
@@ -218,6 +219,28 @@ class TestAutOrder:
     def test_projective(self, a2):
         # End(P_1) = F_p, so Aut has p - 1 elements
         assert aut_order(projective_rep(a2, "1", 5)) == 4
+
+    def test_bound_is_checked_on_a_memoized_count(self, a2):
+        """p^{dim End} = 3^9 for S1³ at p = 3: a count memoized under a
+        loose bound must not slip past a tight one."""
+        s1 = simple_rep(a2, "1", 3)
+        m = direct_sum(a2, s1.field, [s1, s1, s1])
+        assert aut_order(m, bound=10 ** 6) == 11232  # |GL_3(F_3)|
+        with pytest.raises(ResourceBound):
+            aut_order(m, bound=100)
+
+    def test_runs_do_not_change_the_count(self, a2, monkeypatch):
+        """The walk over the runs of a class module against the walk over
+        End(m) as one block, on the same module without its runs."""
+        ar = knit(a2, 3)
+        m = ar.class_module(MultiplicityVector({"0-1": 1, "1-1": 1, "1-0": 2}))
+        bare = Representation(a2, m.field, m.dims, m.maps)
+        assert sorted(n for _, n in m.runs) == [1, 1, 2] and bare.runs is None
+        assert bare == m
+        with_runs = aut_order(m)
+        monkeypatch.setattr(reps, "_AUT_CACHE", {})
+        # |Aut| = 3^{end − Σ n²} · 2 · 2 · |GL_2(F_3)|, with end = 9
+        assert aut_order(bare) == with_runs == 3 ** 3 * 2 * 2 * 48
 
 
 class TestFindIsomorphism:

@@ -706,11 +706,11 @@ def check_oracle_equivalence(spec: AlgebraSpec, primes: Sequence[int],
     Triples whose hom-side enumeration exceeds the configured resource
     bounds are recorded as skipped (the hom oracle's precondition fails
     there); the hom route runs first, so a skipped triple is not counted
-    by the other routes.  On every other triple the grass and hom counts must agree
-    exactly, and so must the Ext route's (walked once per (a, c) on the
-    slice's quiver).  A mismatch is recorded as (p, a, c, b, grass, hom,
-    ext).  With ``jobs > 1`` the ambient dimension vectors are sharded
-    across worker processes.
+    by the other routes.  On every other triple the grass and hom counts
+    must agree exactly, and so must the Ext route's (walked once per
+    (a, c) on the slice's quiver).  A mismatch is recorded as (p, a, c, b,
+    grass, hom, ext).  With ``jobs > 1`` the ambient dimension vectors are
+    sharded across worker processes.
     """
     import itertools
 

@@ -256,7 +256,8 @@ class ARQuiver:
         m = self._modules.get(mv)
         if m is None:
             runs = tuple((v.rep, mv.get(v.id)) for v in self.vertices if mv.get(v.id))
-            m = direct_sum(self.spec, self.field, [x for x, n in runs for _ in range(n)])
+            m = direct_sum(self.spec, self.field,
+                           [x for x, n in runs for _ in range(n)])
             m.runs = runs
             self._modules[mv] = m
         return m

@@ -823,7 +823,8 @@ def hom_blocks(n1: Representation, m: Representation) -> list[tuple]:
     X^n of ``n1.runs``, with a basis of Hom(X, m) as rows of fᵀ, or n1
     itself once when no decomposition is known."""
     verts = m.spec.vertices
-    return [(n, x.dims, [[f[v].transpose().rows for v in verts] for f in hom_space(x, m)])
+    return [(n, x.dims,
+             [[f[v].transpose().rows for v in verts] for f in hom_space(x, m)])
             for x, n in n1.runs or ((n1, 1),)]
 
 

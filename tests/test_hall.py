@@ -10,8 +10,8 @@ from hallie.hall import (ARFamily, HallConfig, closed_subspace_tuples,
                          hall_numbers_ext, lagrange_interpolate)
 from hallie.knit import knit
 from hallie.liealg import hall_lie_table
-from hallie.reps import (ExtSpace, MultiplicityVector, Representation, direct_sum, hom_dim,
-                         identify, matches_class, quotient_by_subtuple,
+from hallie.reps import (ExtSpace, MultiplicityVector, Representation, direct_sum,
+                         hom_dim, identify, matches_class, quotient_by_subtuple,
                          restrict_to_subtuple, simple_rep, sub_quotient)
 
 

@@ -6,6 +6,7 @@ whole package works with exact integer arithmetic, no floating point.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -332,67 +333,107 @@ def injective_images(col_dims: Sequence[int],
       in the coordinates of an echelon basis of the span, and f∘g = f
       forces g = 1 when f is injective.  So each orbit of injective maps
       has |G| elements and exactly one member whose every block is in
-      that form.  The walk takes, per block, each n-dimensional subspace
-      once (``enumerate_subspaces``), with weight |G|.  For n = 1 these
-      are the lines of the span: one map per orbit of F_p^*, weight p − 1.
-    * Which rows matter: injectivity and the image depend only on the
-      span of each block's rows at each vertex.  A subspace whose own
-      rows are dependent is dropped, and the blocks after the first, which
-      the walk visits once per prefix, are tallied by those spans once,
-      before it.
-    * Pruning: the blocks are added in order against a per-vertex echelon
-      of the rows so far.  Rows that fall in the span of the rows above
-      them stay there in every completion, so the subtree is skipped.
+      that form.  The walk takes, per block, each such basis once, with
+      weight |G|: pivots c_1 < … < c_n, and copy j with a 1 at c_j, 0
+      before it and at the other pivots, and any value elsewhere.  For
+      n = 1 that is one map per orbit of F_p^*, weight p − 1.
+    * Row by row: the echelon basis of the span is taken over coordinates
+      ordered by (vertex, row, column), so each element is zero on the
+      rows before the one that holds its pivot, and a row of a copy is
+      final once the coordinates whose pivot lies in it are fixed.  Each
+      copy is walked one row at a time (``odometer`` over those
+      coordinates), and each row is checked as it becomes final against
+      a per-vertex echelon of the rows fixed before it: a row in their
+      span stays there in every completion, so the subtree is skipped.
+      The first row of every copy must be nonzero, so every pivot c_j
+      lies in the first row.  The last row ends each map and the image
+      depends only on it reduced against the rows above, so each distinct
+      reduction is echeloned once.
+    * Blocks: injectivity and the image depend only on the span of each
+      block's rows at each vertex.  So each block is walked once and
+      tallied by those spans, and the blocks are then added in order
+      against the per-vertex echelon of the blocks before, pruned the same
+      way.
     The weights of all keys sum to the number of injective maps.
     """
     p = field.p
     weight = 1
-    walks = []
+    tallies = []
     for n, row_dims, basis in blocks:
         if any(row_dims):
             for k in range(n):
                 weight *= p ** n - p ** k
-            walks.append(_block_spans(n, row_dims, basis, col_dims, field))
+            tallies.append(_block_tally(n, row_dims, basis, col_dims, field))
     images: dict[tuple, int] = {}
-    if not walks:
-        images[tuple(() for _ in col_dims)] = 1
-        return images
-    later = [Counter(walk) for walk in walks[1:]]  # walked once per prefix
-    for key in walks[0]:
-        spans = [[(next(c for c, x in enumerate(row) if x), row) for row in rows]
-                 for rows in key]
-        _add_blocks(later, spans, weight, images, p, field.inverses)
+    _add_blocks(tallies, [[] for _ in col_dims], weight, images, p, field.inverses)
     return images
 
 
-def _block_spans(n: int, row_dims: Sequence[int], basis: Sequence,
-                 col_dims: Sequence[int], field: PrimeField) -> Iterator[tuple]:
-    """For each n-dimensional subspace of the span of ``basis`` whose n
-    maps have independent rows at every vertex, the per-vertex reduced
-    echelon rows of those rows (the block's walk in ``injective_images``)."""
+def _block_tally(n: int, row_dims: Sequence[int], basis: Sequence,
+                 col_dims: Sequence[int], field: PrimeField) -> Counter:
+    """The walk of one block of ``injective_images``: for each reduced
+    echelon basis of an n-dimensional subspace of the span of ``basis``
+    whose n maps have independent rows at every vertex, the per-vertex
+    reduced echelon rows of those rows, counted."""
     p, inv = field.p, field.inverses
-    nv = len(col_dims)
-    flat = [[x for i in range(nv) for row in element[i] for x in row]
+    vertex = [i for i, r in enumerate(row_dims) for _ in range(r)]  # per row
+    tally: Counter = Counter()
+    if any(not col_dims[i] for i in vertex):
+        return tally  # a row with no entries is zero: no map is injective
+    starts = list(itertools.accumulate((col_dims[i] for i in vertex), initial=0))
+    flat = [[x for i in range(len(col_dims)) for row in element[i] for x in row]
             for element in basis]
     span = flat[:len(echelon(flat, p, inv))]
-    if len(span) < n:
-        return  # fewer than n independent maps: none is injective
-    starts = []  # where each row of a copy begins in the flat layout
-    pos = 0
-    for i in range(nv):
-        starts.append([pos + r * col_dims[i] for r in range(row_dims[i])])
-        pos += row_dims[i] * col_dims[i]
-    for w in enumerate_subspaces(len(span), n, field):
-        maps = [[sum(a * e[c] for a, e in zip(coeffs, span)) % p
-                 for c in range(pos)] for coeffs in w.rows]
-        key = []
-        for i in range(nv):
-            rows = [f[s:s + col_dims[i]] for f in maps for s in starts[i]]
-            if len(echelon(rows, p, inv)) < len(rows):
-                break
-            key.append(tuple(map(tuple, rows)))
-        else:
-            yield tuple(key)
+    level = [bisect.bisect_right(starts, next(c for c, x in enumerate(e) if x)) - 1
+             for e in span]
+    deltas = [[(0, L, c - starts[L], e[c]) for L in range(len(vertex))
+               for c in range(starts[L], starts[L + 1]) if e[c]] for e in span]
+    block = (vertex, starts, level, deltas, tally, p, inv)
+    for pattern in itertools.combinations(
+            [k for k, L in enumerate(level) if L == 0], n):
+        _walk_copy(block, pattern, 0, [[] for _ in col_dims])
+    return tally
+
+
+def _walk_copy(block: tuple, pattern: tuple, j: int, spans: list) -> None:
+    """Copy j of a block, its coordinates led by the 1 at ``pattern[j]``,
+    row by row against ``spans``, the per-vertex echelon of the rows of the
+    copies before it."""
+    vertex, starts, level, deltas, _, _, _ = block
+    rows = [[0] * (starts[L + 1] - starts[L]) for L in range(len(vertex))]
+    for _, L, c, x in deltas[pattern[j]]:
+        rows[L][c] = x
+    free = [[deltas[k] for k, lk in enumerate(level)
+             if lk == L and k > pattern[j] and k not in pattern]
+            for L in range(len(vertex))]
+    _walk_rows(block, pattern, j, 0, [rows], free, spans)
+
+
+def _walk_rows(block: tuple, pattern: tuple, j: int, L: int, mats: list,
+               free: list, spans: list) -> None:
+    """Rows L onwards of copy j: row L is final once the coordinates whose
+    pivot lies in it are fixed (``odometer``), so it is checked then."""
+    vertex, _, _, _, tally, p, inv = block
+    if L == len(vertex):
+        _walk_copy(block, pattern, j + 1, spans)
+        return
+    i = vertex[L]
+    if L + 1 == len(vertex) and j + 1 == len(pattern):
+        # the last row ends each map, and its image depends only on that
+        # row reduced against the rows above it: echelon each one once
+        finals = Counter(_reduce(spans[i], mats[0][L], p)
+                         for _ in odometer(mats, free[L], p))
+        for v, count in finals.items():
+            grown = _grow(spans[i], [v], p, inv)
+            if grown is not None:
+                tally[tuple(tuple(e for _, e in s) for s in
+                            spans[:i] + [grown] + spans[i + 1:])] += count
+        return
+    for _ in odometer(mats, free[L], p):
+        grown = _grow(spans[i], [mats[0][L]], p, inv)
+        if grown is not None:
+            _walk_rows(block, pattern, j, L + 1, mats, free,
+                       spans[:i] + [grown] + spans[i + 1:])
 
 
 def _add_blocks(tallies: Sequence[dict[tuple, int]], spans: list, weight: int,
@@ -416,15 +457,21 @@ def _add_blocks(tallies: Sequence[dict[tuple, int]], spans: list, weight: int,
             _add_blocks(tallies[1:], grown, weight * n, images, p, inv)
 
 
+def _reduce(span: list, v: Sequence[int], p: int) -> tuple[int, ...]:
+    """v reduced against the reduced echelon rows (pivot, row) of span."""
+    for c, e in span:
+        f = v[c]
+        if f:
+            v = [(a - f * b) % p for a, b in zip(v, e)]
+    return tuple(v)
+
+
 def _grow(span: list, rows: Sequence[tuple[int, ...]], p: int,
           inv: Sequence[int]) -> list | None:
     """The reduced echelon rows (pivot, row) of span + rows, sorted by
     pivot, or None when the rows are not independent modulo span."""
     for v in rows:
-        for c, e in span:
-            f = v[c]
-            if f:
-                v = [(a - f * b) % p for a, b in zip(v, e)]
+        v = _reduce(span, v, p)
         lead = next((c for c, x in enumerate(v) if x), None)
         if lead is None:
             return None

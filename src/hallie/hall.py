@@ -22,10 +22,11 @@ counting routes are provided:
   reference route of ``check_oracle_equivalence``.
 * ``hall_number_hom`` enumerates the injective homomorphisms n1 -> m with
   ``linalg.injective_images``: one map per orbit of Π GL_{n_i}(F_p) for
-  n1 = ⊕ X_i^{n_i}, that is one n_i-dimensional subspace of Hom(X_i, m)
-  per distinct summand, weighted by the orbit size, with the summands
-  added against an incremental echelon so that rows falling in the span
-  of the rows above them cut off the subtree.  Each distinct image is
+  n1 = ⊕ X_i^{n_i}, that is one reduced echelon basis of an
+  n_i-dimensional subspace of Hom(X_i, m) per distinct summand, weighted
+  by the orbit size, walked one row at a time against an incremental
+  echelon so that a row falling in the span of the rows above it cuts off
+  the subtree.  Each distinct image is
   classified once, its cokernel compared on every knitted vertex, and must
   be reached by exactly |Aut(n1)| maps.  It is the independent oracle of
   ``check_oracle_equivalence``, which compares all three routes.

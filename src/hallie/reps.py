@@ -609,7 +609,9 @@ def _is_indecomposable_certified(m: Representation, endos: list[dict[str, FMatri
 
     End is local with residue field F_p iff exactly p^h - p^(h-1) of its p^h
     elements are invertible (the non-invertible ones, p^(h-1) of them, form
-    the radical); this is checked by exact enumeration (``aut_order``).
+    the radical); this is checked by exact enumeration of the span of
+    ``endos``, the basis of End(m) the caller holds, as one block of
+    ``linalg.injective_images``.
     """
     h = len(endos)
     p = m.field.p
@@ -618,7 +620,8 @@ def _is_indecomposable_certified(m: Representation, endos: list[dict[str, FMatri
     if p ** h > bound:
         raise DecompositionBudgetExceeded(
             f"endomorphism certificate needs {p}^{h} enumerations")
-    return aut_order(m, bound) == p ** h - p ** (h - 1)
+    units = injective_images(m.dims, [_hom_block(1, m, endos)], m.field)
+    return sum(units.values()) == p ** h - p ** (h - 1)
 
 
 def decompose_with_embeddings(m: Representation, seed: int = 0,
@@ -818,14 +821,17 @@ def matches_class(m: Representation, ar: "ARQuiver",
 _AUT_CACHE: dict[tuple, tuple[int, int]] = {}
 
 
+def _hom_block(n: int, x: Representation, maps: list[dict[str, FMatrix]]) -> tuple:
+    """n copies of x, with ``maps`` out of x as rows of fᵀ: one block of
+    ``linalg.injective_images``."""
+    return (n, x.dims, [[f[v].transpose().rows for v in x.spec.vertices] for f in maps])
+
+
 def hom_blocks(n1: Representation, m: Representation) -> list[tuple]:
     """Hom(n1, m) as the blocks of ``linalg.injective_images``: one per run
-    X^n of ``n1.runs``, with a basis of Hom(X, m) as rows of fᵀ, or n1
-    itself once when no decomposition is known."""
-    verts = m.spec.vertices
-    return [(n, x.dims,
-             [[f[v].transpose().rows for v in verts] for f in hom_space(x, m)])
-            for x, n in n1.runs or ((n1, 1),)]
+    X^n of ``n1.runs``, with a basis of Hom(X, m), or n1 itself once when
+    no decomposition is known."""
+    return [_hom_block(n, x, hom_space(x, m)) for x, n in n1.runs or ((n1, 1),)]
 
 
 def aut_order(m: Representation, bound: int = 1_000_000) -> int:

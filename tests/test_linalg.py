@@ -203,23 +203,23 @@ class TestInjectiveImages:
             assert rref(mat(PrimeField(p), rows)).matrix.rows == rows
             assert len(rows) == k
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=1000, deadline=None)
     @given(p=st.sampled_from([2, 3]),
            col_dims=st.tuples(st.integers(0, 3), st.integers(0, 3)),
            data=st.data())
     def test_two_blocks_match_brute_force(self, p, col_dims, data):
-        """Two blocks of multiplicity 1-3 on two vertices, each
-        spanned by random generators with a combination of them appended
-        (so the span is dependent), against every distinct map of the sum
-        (one element of its block's span per copy) tallied by per-vertex
-        ``echelon``."""
+        """One or two blocks of multiplicity 1-3 on two vertices, each copy
+        with 0-2 rows per vertex, each block spanned by 0-3 random
+        generators with a combination of them appended (so the span is
+        dependent), against every distinct map of the sum (one element of
+        its block's span per copy) tallied by per-vertex ``echelon``."""
         entry = st.integers(0, p - 1)
         inv = PrimeField(p).inverses
         blocks = []
         used = [0, 0]  # rows per vertex so far: most draws leave room to inject
-        for _ in range(2):
-            row_dims = data.draw(st.tuples(st.integers(0, 1), st.integers(0, 1)))
-            room = min((c - u for r, c, u in zip(row_dims, col_dims, used) if r),
+        for _ in range(data.draw(st.integers(1, 2))):
+            row_dims = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+            room = min(((c - u) // r for r, c, u in zip(row_dims, col_dims, used) if r),
                        default=3)
             n = data.draw(st.integers(1, max(1, min(3, room))))
             used = [u + n * r for u, r in zip(used, row_dims)]
@@ -229,13 +229,15 @@ class TestInjectiveImages:
                 st.lists(st.lists(entry, min_size=c, max_size=c),
                          min_size=r, max_size=r)
                 for r, c in zip(row_dims, col_dims)))
-            gens = data.draw(st.lists(element, min_size=1, max_size=most))
-            coeffs = data.draw(st.lists(entry, min_size=len(gens),
-                                        max_size=len(gens)))
-            gens.append(tuple(
-                [[sum(x * g[i][r][c] for x, g in zip(coeffs, gens)) % p
-                  for c in range(col_dims[i])] for r in range(row_dims[i])]
-                for i in range(2)))
+            size = data.draw(st.integers(0, most))
+            gens = data.draw(st.lists(element, min_size=size, max_size=size))
+            if gens:
+                coeffs = data.draw(st.lists(entry, min_size=len(gens),
+                                            max_size=len(gens)))
+                gens.append(tuple(
+                    [[sum(x * g[i][r][c] for x, g in zip(coeffs, gens)) % p
+                      for c in range(col_dims[i])] for r in range(row_dims[i])]
+                    for i in range(2)))
             blocks.append((n, row_dims, gens))
 
         def span(gens, row_dims):

@@ -1,10 +1,11 @@
 import itertools
+import json
 
 import pytest
 
-from hallie.algebra import projective_rep
+from hallie.algebra import NonSchurianWarning, parse_algebra, projective_rep
 from hallie import reps
-from hallie.errors import NotClosed, ResourceBound
+from hallie.errors import DecompositionBudgetExceeded, NotClosed, ResourceBound
 from hallie.knit import knit
 from hallie.linalg import FMatrix, PrimeField
 from hallie.reps import (MultiplicityVector, Representation, SubspaceTuple,
@@ -163,6 +164,44 @@ class TestDecompose:
         first = decompose(m, seed=7)
         second = decompose(m, seed=7)
         assert [(r.dims, c) for r, c in first] == [(r.dims, c) for r, c in second]
+
+
+class TestIndecomposableCertificate:
+    """Modules that no endomorphism splits, so that ``decompose`` falls
+    back on counting the units of End."""
+
+    @staticmethod
+    def kronecker_block(p):
+        # a = 1, b = a nilpotent Jordan block on the Kronecker quiver:
+        # End = F_p[x]/(x^2), local of dimension 2, so no Fitting split
+        with pytest.warns(NonSchurianWarning):
+            spec = parse_algebra(json.dumps({
+                "vertices": ["1", "2"],
+                "arrows": [{"id": "a", "from": "1", "to": "2"},
+                           {"id": "b", "from": "1", "to": "2"}]}))
+        field = PrimeField(p)
+        return Representation(spec, field, (2, 2), {
+            "a": FMatrix.identity(field, 2),
+            "b": FMatrix.from_rows(field, [[0, 1], [0, 0]], ncols=2)})
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_local_endomorphism_ring_is_certified(self, p):
+        m = self.kronecker_block(p)
+        assert len(hom_space(m, m)) == 2
+        assert [(rep.dims, mult) for rep, mult in decompose(m, seed=0)] == [((2, 2), 1)]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_split_module_is_not_certified(self, a2, p):
+        # End(S1 + S1) = M_2(F_p): |GL_2(F_p)| units, not p^4 - p^3
+        s1 = simple_rep(a2, "1", p)
+        m = direct_sum(a2, s1.field, [s1, s1])
+        assert not reps._is_indecomposable_certified(m, hom_space(m, m), 10 ** 6)
+
+    def test_certificate_bound(self):
+        m = self.kronecker_block(2)
+        with pytest.raises(DecompositionBudgetExceeded):
+            reps.decompose_with_embeddings(m, certificate_bound=3)
+        assert len(reps.decompose_with_embeddings(m, certificate_bound=4)) == 1
 
 
 @pytest.fixture(scope="module")

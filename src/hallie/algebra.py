@@ -65,12 +65,6 @@ class Quiver:
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
 
-    def arrow(self, arrow_id: str) -> Arrow:
-        for a in self.arrows:
-            if a.id == arrow_id:
-                return a
-        raise KeyError(arrow_id)
-
 
 @dataclass(frozen=True)
 class Relation:
@@ -94,7 +88,6 @@ class AlgebraSpec:
     nilpotency_bound: int
     rewrites: dict[Path, tuple[tuple[int, Path], ...]] = field(repr=False)
     topo_order: tuple[str, ...] = field(repr=False)
-    source_text: str = field(default="", repr=False)
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -262,7 +255,7 @@ def parse_algebra(text: str) -> AlgebraSpec:
 
     return AlgebraSpec(quiver=quiver, relations=tuple(relations),
                        path_basis=basis, nilpotency_bound=longest,
-                       rewrites=rewrites, topo_order=topo, source_text=text)
+                       rewrites=rewrites, topo_order=topo)
 
 
 def load_algebra(path: str) -> AlgebraSpec:

@@ -184,7 +184,7 @@ def _family(spec: AlgebraSpec, args) -> ARFamily:
     _validate_caps(args)
     config = HallConfig(excluded_primes=_excluded(args), seed=args.seed,
                         max_vertices=args.max_vertices)
-    return ARFamily(spec, config, cache_dir=os.environ.get("HALLIE_CACHE_DIR"))
+    return ARFamily(spec, config)
 
 
 def _emit(doc: dict, fmt: str, csv_rows=None, text_lines=None) -> None:

@@ -49,24 +49,22 @@ action of the scalars on injections and surjections.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .algebra import AlgebraSpec
-from .errors import (EtaNotInjective, ExtDimensionMismatch, InconsistentCounts,
-                     NonIntegralCoefficients, NonIntegralOrbitCount, NotDirected,
-                     ResourceBound)
-from .knit import ARQuiver, KnitConfig, ar_from_doc, ar_sequence, ar_to_doc, knit
+from .errors import (ExtDimensionMismatch, FieldDependenceDetected,
+                     InconsistentCounts, NonIntegralCoefficients,
+                     NonIntegralOrbitCount, ResourceBound)
+from .knit import ARQuiver, KnitConfig, knit
 from .linalg import (FMatrix, gaussian_binomial, injective_images,
                      intersect_subspaces, is_prime, preimage_subspace, row_space,
                      scalar_orbits, subspaces_between)
 from .reps import (MultiplicityVector, Representation, SubspaceTuple, aut_order,
-                   check_relations, ext_space, hom_blocks, hom_dim, matches_class,
-                   middle_term, quotient_by_subtuple, restrict_to_subtuple)
+                   ext_space, hom_blocks, hom_dim, matches_class, middle_term,
+                   quotient_by_subtuple, restrict_to_subtuple)
 
 
 @dataclass(frozen=True)
@@ -450,11 +448,9 @@ class ARFamily:
     vertex ids, so the same class can be instantiated over every prime.
     """
 
-    def __init__(self, spec: AlgebraSpec, config: HallConfig | None = None,
-                 cache_dir: str | None = None):
+    def __init__(self, spec: AlgebraSpec, config: HallConfig | None = None):
         self.spec = spec
         self.config = config or HallConfig()
-        self.cache_dir = cache_dir
         self._quivers: dict[int, ARQuiver] = {}
         self._polynomials: dict[tuple, HallPolynomial] = {}
         self._reference_ids: frozenset[str] | None = None
@@ -465,69 +461,19 @@ class ARFamily:
         ar = self._quivers.get(p)
         if ar is not None:
             return ar
-        ar = self._load_cached(p)
-        if ar is None:
-            ar = knit(self.spec, p, KnitConfig(max_vertices=self.config.max_vertices,
-                                               seed=self.config.seed))
-            self._store_cached(p, ar)
+        ar = knit(self.spec, p, KnitConfig(max_vertices=self.config.max_vertices,
+                                           seed=self.config.seed))
         self._quivers[p] = ar
         ids = frozenset(v.id for v in ar.vertices)
         if self._reference_ids is None:
             self._reference_ids = ids
         elif ids != self._reference_ids:
-            from .errors import FieldDependenceDetected
             raise FieldDependenceDetected(
                 f"vertex ids over F_{p} differ from the reference knit")
         return ar
 
     def reference_quiver(self) -> ARQuiver:
         return self.quiver(first_primes(1, self.config.excluded_primes)[0])
-
-    def _cache_path(self, p: int) -> str | None:
-        """Entry name keyed on everything the knit depends on: the tool
-        version, the splitting seed, the vertex cap and the algebra text."""
-        if not self.cache_dir:
-            return None
-        from . import __version__
-        key = json.dumps([__version__, self.config.seed, self.config.max_vertices,
-                          self.spec.source_text])
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return os.path.join(self.cache_dir, f"{digest}_{p}.json")
-
-    def _load_cached(self, p: int) -> ARQuiver | None:
-        """The cached quiver over F_p, re-checked before it is trusted: the
-        prime, each vertex id against its dimension vector, the relations on
-        every vertex, a unitriangular Hom matrix and every stored mesh
-        (``_meshes_hold``).  An entry that cannot be decoded or fails a
-        check is ignored, so the caller knits afresh and overwrites it."""
-        path = self._cache_path(p)
-        if not path or not os.path.exists(path):
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                ar = ar_from_doc(self.spec, json.load(fh))
-        except (ValueError, KeyError, TypeError):
-            return None  # undecodable or misshapen entry
-        if ar.field.p != p:
-            return None
-        if not all(v.id == v.rep.dim_id() and check_relations(v.rep)
-                   for v in ar.vertices):
-            return None
-        H = ar.hom_matrix()
-        if any(H[i][j] != (1 if i == j else 0)
-               for i in range(len(H)) for j in range(i + 1)):
-            return None
-        return ar if _meshes_hold(ar) else None
-
-    def _store_cached(self, p: int, ar: ARQuiver) -> None:
-        path = self._cache_path(p)
-        if not path:
-            return
-        os.makedirs(self.cache_dir, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(ar_to_doc(ar, with_maps=True), fh, sort_keys=True)
-        os.replace(tmp, path)
 
     # -- classes -----------------------------------------------------------
 
@@ -638,32 +584,11 @@ class ARFamily:
         return list(self._polynomials.values())
 
 
-def _meshes_hold(ar: ARQuiver) -> bool:
-    """Whether the non-projective vertices are exactly those with a stored
-    mesh, each mesh runs from the vertex's translate through the sources
-    of the arrows into it with one η and one ν block per middle term, and
-    ``ar_sequence`` re-verifies it."""
-    ends = {v.id for v in ar.vertices if not v.projective}
-    if set(ar.meshes) != ends:
-        return False
-    for z in ends:
-        mesh = ar.meshes[z]
-        if (mesh.translate != ar.tau.get(z) or sorted(mesh.middles)
-                != sorted(a.source for a in ar.arrows if a.target == z)
-                or not len(mesh.eta) == len(mesh.nu) == len(mesh.middles)):
-            return False
-        try:
-            ar_sequence(ar, z)
-        except (EtaNotInjective, NotDirected):
-            return False
-    return True
-
-
 def _pair(ar: ARQuiver, mv: MultiplicityVector, vector: Sequence[int]) -> int:
     """Σ_{x∈mv} n_x · vector[x]: with the into-vector of M (from
     ``ar.hom_vectors``) this is dim Hom(mv, M), with its out-of vector
     dim Hom(M, mv)."""
-    return sum(n * vector[ar.order.index(x)] for x, n in mv.items())
+    return sum(n * vector[ar.by_id[x].index] for x, n in mv.items())
 
 
 def _possibly_nonzero(hom_a, hom_c, hom_b) -> bool:
@@ -709,24 +634,16 @@ def check_oracle_equivalence(spec: AlgebraSpec, primes: Sequence[int],
     there); the hom route runs first, so a skipped triple is not counted
     by the other routes.  On every other triple the grass and hom counts
     must agree exactly, and so must the Ext route's (walked once per
-    (a, c) on the slice's quiver).  A mismatch is recorded as (p, a, c, b,
-    grass, hom, ext).  With ``jobs > 1`` the ambient dimension vectors are
-    sharded across worker processes.
+    (a, c) on the prime's quiver).  A mismatch is recorded as (p, a, c, b,
+    grass, hom, ext).  The sweep runs in one process: ``jobs`` must be 1.
     """
-    import itertools
-
+    if jobs != 1:
+        raise ValueError("jobs must be 1: the oracle sweep runs in one process")
     dim_vectors = [d for d in itertools.product(
         *(range(max_total_dim + 1) for _ in spec.vertices))
         if 0 < sum(d) <= max_total_dim]
-    work = [(spec.source_text, p, chunk, hom_bound, aut_bound)
-            for p in primes
-            for chunk in _shard(dim_vectors, max(1, jobs))]
-    if jobs > 1 and len(work) > 1:
-        import multiprocessing as mp
-        with mp.get_context("fork").Pool(processes=jobs) as pool:
-            results = pool.map(_oracle_equivalence_slice, work)
-    else:
-        results = [_oracle_equivalence_slice(item) for item in work]
+    results = [_oracle_equivalence_slice(spec, p, dim_vectors, hom_bound, aut_bound)
+               for p in primes]
     compared = sum(r[0] for r in results)
     nonzero = sum(r[1] for r in results)
     skipped = sum(r[2] for r in results)
@@ -734,20 +651,12 @@ def check_oracle_equivalence(spec: AlgebraSpec, primes: Sequence[int],
     return OracleEquivalenceReport(compared, nonzero, skipped, mismatches)
 
 
-def _shard(items: list, parts: int) -> list[list]:
-    if parts <= 1:
-        return [items]
-    return [items[i::parts] for i in range(parts) if items[i::parts]]
-
-
-def _oracle_equivalence_slice(args) -> tuple[int, int, int, list]:
-    import itertools
-
-    from .algebra import parse_algebra
+def _oracle_equivalence_slice(spec: AlgebraSpec, p: int,
+                              dim_vectors: Sequence[tuple[int, ...]],
+                              hom_bound: int, aut_bound: int
+                              ) -> tuple[int, int, int, list]:
     from .liealg import enumerate_module_classes
 
-    source_text, p, dim_vectors, hom_bound, aut_bound = args
-    spec = parse_algebra(source_text)
     ar = knit(spec, p)
     module = ar.class_module
     compared = nonzero = skipped = 0

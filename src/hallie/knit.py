@@ -20,7 +20,7 @@ path basis.  Vertex ids are the dimension vectors rendered as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .algebra import AlgebraSpec, projective_rep
@@ -132,7 +132,7 @@ class ARQuiver:
         into = [0] * n
         outof = [0] * n
         for vid, count in mv.items():
-            j = self.order.index(vid)
+            j = self.by_id[vid].index
             for k in range(n):
                 into[k] += count * H[k][j]
                 outof[k] += count * H[j][k]
@@ -493,11 +493,6 @@ def quiver_shape(ar: ARQuiver) -> dict:
 class FieldIndependenceReport:
     primes: tuple[int, ...]
     vertex_count: int
-    shape: dict = field(repr=False)
-
-    def to_doc(self) -> dict:
-        return {"primes": list(self.primes), "vertex_count": self.vertex_count,
-                "identical": True, "shape": self.shape}
 
 
 def compare_quiver_shapes(quivers: Mapping[int, ARQuiver]) -> FieldIndependenceReport:
@@ -516,8 +511,7 @@ def compare_quiver_shapes(quivers: Mapping[int, ARQuiver]) -> FieldIndependenceR
         if quiver_shape(quivers[p]) != reference:
             raise FieldDependenceDetected(
                 f"AR quiver over F_{p} differs from F_{primes[0]}")
-    return FieldIndependenceReport(tuple(primes), len(reference["vertices"]),
-                                   reference)
+    return FieldIndependenceReport(tuple(primes), len(reference["vertices"]))
 
 
 def check_field_independence(spec: AlgebraSpec, primes: Sequence[int],
@@ -527,7 +521,7 @@ def check_field_independence(spec: AlgebraSpec, primes: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# serialization (CLI output and the knit cache)
+# serialization (CLI output)
 
 
 def ar_to_doc(ar: ARQuiver, with_maps: bool = False) -> dict:
@@ -561,49 +555,3 @@ def ar_to_doc(ar: ARQuiver, with_maps: bool = False) -> dict:
         }
     return doc
 
-
-def _maps_from_doc(spec: AlgebraSpec, field: PrimeField, doc: Mapping[str, list],
-                   source_dims: Sequence[int], target_dims: Sequence[int]):
-    out = {}
-    for i, vx in enumerate(spec.vertices):
-        out[vx] = FMatrix.from_rows(field, doc[vx], ncols=source_dims[i])
-        if out[vx].nrows != target_dims[i]:
-            raise ValueError("stored map has wrong shape")
-    return out
-
-
-def ar_from_doc(spec: AlgebraSpec, doc: dict) -> ARQuiver:
-    """Rebuild a knitted quiver from ``ar_to_doc(..., with_maps=True)``."""
-    field = PrimeField(doc["prime"])
-    index = {v: i for i, v in enumerate(spec.vertices)}
-    vertices = []
-    tau = {}
-    for entry in doc["vertices"]:
-        dims = tuple(entry["dim"])
-        maps = {}
-        stored = doc["representations"][entry["id"]]
-        for a in spec.quiver.arrows:
-            maps[a.id] = FMatrix.from_rows(field, stored[a.id],
-                                           ncols=dims[index[a.source]])
-        rep = Representation(spec, field, dims, maps)
-        vertices.append(ARVertex(entry["id"], len(vertices), rep,
-                                 entry["projective"]))
-        if entry["tau"]:
-            tau[entry["id"]] = entry["tau"]
-    by_id = {v.id: v for v in vertices}
-    arrows = []
-    for entry, stored in zip(doc["arrows"], doc["arrow_maps"]):
-        src, dst = by_id[entry["source"]], by_id[entry["target"]]
-        arrows.append(ARArrow(entry["source"], entry["target"],
-                              _maps_from_doc(spec, field, stored,
-                                             src.rep.dims, dst.rep.dims)))
-    meshes = {}
-    for z, m in doc.get("meshes", {}).items():
-        mids = [by_id[i] for i in m["middles"]]
-        x = by_id[m["translate"]]
-        eta = tuple(_maps_from_doc(spec, field, h, x.rep.dims, mid.rep.dims)
-                    for h, mid in zip(m["eta"], mids))
-        nu = tuple(_maps_from_doc(spec, field, h, mid.rep.dims, by_id[z].rep.dims)
-                   for h, mid in zip(m["nu"], mids))
-        meshes[z] = Mesh(z, m["translate"], tuple(m["middles"]), eta, nu)
-    return ARQuiver(spec, field, vertices, arrows, tau, meshes)

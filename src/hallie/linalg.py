@@ -138,14 +138,6 @@ class FMatrix:
                      for r1, r2 in zip(self.rows, other.rows))
         return FMatrix(self.field, self.nrows, self.ncols, rows)
 
-    def sub(self, other: "FMatrix") -> "FMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in sub")
-        p = self.field.p
-        rows = tuple(tuple((a - b) % p for a, b in zip(r1, r2))
-                     for r1, r2 in zip(self.rows, other.rows))
-        return FMatrix(self.field, self.nrows, self.ncols, rows)
-
     def scale(self, c: int) -> "FMatrix":
         p = self.field.p
         c %= p

@@ -1,7 +1,6 @@
 import hashlib
 import importlib
 import json
-import os
 
 import pytest
 
@@ -227,69 +226,3 @@ class TestErrorPaths:
                               "--triple", "0-1/1-0/1-1", "--primes", "auto")
         assert code == 0
         assert json.loads(out)["phi"] == [1]
-
-
-class TestCache:
-    def test_cache_roundtrip(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("HALLIE_CACHE_DIR", str(tmp_path))
-        code, first, _ = invoke(capsys, "knit", "--algebra", algebra("d4"))
-        assert code == 0
-        cached = [f for f in os.listdir(tmp_path) if f.endswith(".json")]
-        assert len(cached) == 1
-        code, second, _ = invoke(capsys, "knit", "--algebra", algebra("d4"))
-        assert code == 0
-        assert first == second
-
-    def test_cache_key_covers_knit_settings(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("HALLIE_CACHE_DIR", str(tmp_path))
-        code, _, _ = invoke(capsys, "knit", "--algebra", algebra("a3"))
-        assert code == 0
-        # a cap the knit cannot meet must not be served from the warm cache
-        code, _, _ = invoke(capsys, "knit", "--algebra", algebra("a3"),
-                            "--max-vertices", "3")
-        assert code == 3
-        code, _, _ = invoke(capsys, "knit", "--algebra", algebra("a3"),
-                            "--seed", "1")
-        assert code == 0
-        monkeypatch.setattr(hallie, "__version__", "0.0.0-other")
-        code, _, _ = invoke(capsys, "knit", "--algebra", algebra("a3"))
-        assert code == 0
-        cached = [f for f in os.listdir(tmp_path) if f.endswith(".json")]
-        assert len(cached) == 3
-
-    @pytest.mark.parametrize("fault", ["zeroed_matrix", "truncated_json",
-                                       "doctored_mesh", "truncated_mesh"])
-    def test_bad_cache_entry_is_recomputed(self, capsys, tmp_path, monkeypatch,
-                                           fault):
-        """A zeroed matrix makes the cached 1-1 decomposable (dim End = 2),
-        a zeroed map in the stored mesh ending at 1-0 is no longer onto, and
-        that mesh without its η block has no η for its middle term; each
-        must be rejected on load, not reported as a failed verification."""
-        code, uncached, _ = invoke(capsys, "verify", "--algebra", algebra("a2"))
-        assert code == 0
-        monkeypatch.setenv("HALLIE_CACHE_DIR", str(tmp_path))
-        assert invoke(capsys, "verify", "--algebra", algebra("a2"))[0] == 0
-        [entry] = [f for f in os.listdir(tmp_path) if f.endswith("_2.json")]
-        path = tmp_path / entry
-        good = path.read_text()
-        if fault == "zeroed_matrix":
-            doc = json.loads(good)
-            maps = doc["representations"]["1-1"]
-            maps["a"] = [[0] * len(row) for row in maps["a"]]
-            path.write_text(json.dumps(doc))
-        elif fault == "doctored_mesh":
-            doc = json.loads(good)
-            for nu in doc["meshes"]["1-0"]["nu"]:
-                for vx, rows in nu.items():
-                    nu[vx] = [[0] * len(row) for row in rows]
-            path.write_text(json.dumps(doc))
-        elif fault == "truncated_mesh":
-            doc = json.loads(good)
-            doc["meshes"]["1-0"]["eta"].pop()
-            path.write_text(json.dumps(doc))
-        else:
-            path.write_text(good[:len(good) // 2])
-        code, out, err = invoke(capsys, "verify", "--algebra", algebra("a2"))
-        assert (code, err) == (0, "")
-        assert out == uncached
-        assert json.loads(path.read_text()) == json.loads(good)  # rewritten

@@ -283,6 +283,12 @@ class TestOracleEquivalenceReport:
         assert rep.ok
         assert rep.compared == rep.nonzero == rep.skipped == 0
 
+    @pytest.mark.parametrize("jobs", [2, 0])
+    def test_jobs_other_than_one_raise(self, algebras, jobs):
+        from hallie.hall import check_oracle_equivalence
+        with pytest.raises(ValueError, match="jobs"):
+            check_oracle_equivalence(algebras["a2"], (2,), 2, jobs=jobs)
+
     @pytest.mark.parametrize("sub,quot,total", [
         (S2, S1, P1), (S1, S1, S1 + S1), (S1 + S1, S1, S1 + S1 + S1),
         (S1, S1 + S1, S1 + S1 + S1)])
@@ -455,15 +461,3 @@ class TestExtRoute:
         ar.class_aut_order = lambda mv: real(mv) + (mv == P1)
         with pytest.raises(NonIntegralOrbitCount):
             hall_numbers_ext(ar, S2, S1, ar.vertex("0-1").rep, ar.vertex("1-0").rep)
-
-
-class TestCacheLoad:
-    def test_only_decode_and_shape_errors_are_swallowed(self, algebras, tmp_path,
-                                                        monkeypatch):
-        ARFamily(algebras["a2"], cache_dir=str(tmp_path)).quiver(2)
-
-        def broken(spec, doc):
-            raise RuntimeError("not a decode error")
-        monkeypatch.setattr(hall, "ar_from_doc", broken)
-        with pytest.raises(RuntimeError):
-            ARFamily(algebras["a2"], cache_dir=str(tmp_path)).quiver(2)

@@ -6,7 +6,7 @@ from importlib import resources
 from .algebra import AlgebraSpec, load_algebra, parse_algebra, projective_rep
 from .hall import (ARFamily, HallConfig, HallPolynomial,
                    check_oracle_equivalence, hall_number_grass, hall_number_hom,
-                   hall_numbers_ext)
+                   hall_numbers_ext, hall_numbers_grass, hall_numbers_hom)
 from .knit import (ARQuiver, KnitConfig, ar_sequence, check_field_independence,
                    knit)
 from .liealg import (GradedVector, LieTable, RootSystem, compare_with_root_system,

@@ -2,7 +2,7 @@
 
 The Hall number of a triple (n1, n2, m) is the number of submodules
 U of m with U isomorphic to n1 and m/U isomorphic to n2.  Three independent
-counting routes are provided:
+counting routes are provided, and each answers a whole row at once:
 
 * ``hall_numbers_ext`` counts by Riedtmann's formula
   F^b_{a,c} = |Ext¹(c,a)_b| · |Aut b| / (|Aut a| · |Aut c| · q^{hom(c,a)}):
@@ -13,27 +13,30 @@ counting routes are provided:
   form the radical, and End/rad is a product of matrix algebras M_n(F_q)).
   ``ARFamily`` counts with it (``ext_hall_number``, one walk per pair
   memoized on the quiver); the proof sketch is in its docstring.
-* ``hall_number_grass`` enumerates arrow-stable subspace tuples directly
-  (in quiver-topological vertex order, so closure constraints prune the
-  enumeration) and classifies the resulting sub/quotient pair.  It compares
-  Hom dimensions only on the separating set of each expected class: the
-  knitted vertices whose Hom dimensions, read off the Hom matrix, tell that
-  class apart from every other class of its dimension vector.  It is the
+* ``hall_numbers_grass`` enumerates the arrow-stable subspace tuples of
+  one shape e in m once (in quiver-topological vertex order, so closure
+  constraints prune the enumeration) and answers every pair (a, c) of sub
+  and quotient classes at once.  It classifies each sub by its
+  into-vector and each quotient by its out-of vector, read off the Hom
+  bases of m (``ARQuiver.hom_frame``) on the distinguishing set of the
+  dimension vector only (``ARQuiver.distinguishing_set``).  It is the
   reference route of ``check_oracle_equivalence``.
-* ``hall_number_hom`` enumerates the injective homomorphisms n1 -> m with
-  ``linalg.injective_images``: one map per orbit of Π GL_{n_i}(F_p) for
-  n1 = ⊕ X_i^{n_i}, that is one reduced echelon basis of an
-  n_i-dimensional subspace of Hom(X_i, m) per distinct summand, weighted
-  by the orbit size, walked one row at a time against an incremental
-  echelon so that a row falling in the span of the rows above it cuts off
-  the subtree.  Each distinct image is
-  classified once, its cokernel compared on every knitted vertex, and must
-  be reached by exactly |Aut(n1)| maps.  It is the independent oracle of
+* ``hall_numbers_hom`` enumerates the injective homomorphisms n1 -> m once
+  with ``linalg.injective_images`` and answers every quotient class c at
+  once: one map per orbit of Π GL_{n_i}(F_p) for n1 = ⊕ X_i^{n_i}, that is
+  one reduced echelon basis of an n_i-dimensional subspace of Hom(X_i, m)
+  per distinct summand, weighted by the orbit size, walked one row at a
+  time against an incremental echelon so that a row falling in the span
+  of the rows above it cuts off the subtree.  Each distinct image is
+  classified once, by the out-of vector of its cokernel on every knitted
+  vertex, and must be reached by exactly |Aut(n1)| maps.  It is the independent oracle of
   ``check_oracle_equivalence``, which compares all three routes.
 
-The routes ask the knitted ``ARQuiver`` for what it memoizes: the classes
-of each dimension vector, the class of each module they identify and the
-separating set of each class.
+``hall_number_grass`` and ``hall_number_hom`` answer one triple by looking
+it up in its row.  The routes ask the knitted ``ARQuiver`` for what it
+memoizes: the classes of each dimension vector, the class of each module
+they identify, the Hom bases of each ambient module and the distinguishing
+set of each dimension vector.
 
 Interpolation: counts are taken at the first D+2 primes not on the excluded
 list, where D is the degree bound min(Σ e(d−e), hom(a,b) − end(a),
@@ -56,15 +59,15 @@ from typing import Iterator, Sequence
 
 from .algebra import AlgebraSpec
 from .errors import (ExtDimensionMismatch, FieldDependenceDetected,
-                     InconsistentCounts, NonIntegralCoefficients,
-                     NonIntegralOrbitCount, ResourceBound)
-from .knit import ARQuiver, KnitConfig, knit
+                     InconsistentCounts, NegativeMultiplicity,
+                     NonIntegralCoefficients, NonIntegralOrbitCount,
+                     NonUnitriangularHomMatrix, ResourceBound)
+from .knit import ARQuiver, HomFrame, KnitConfig, knit
 from .linalg import (FMatrix, gaussian_binomial, injective_images,
                      intersect_subspaces, is_prime, preimage_subspace, row_space,
                      scalar_orbits, subspaces_between)
 from .reps import (MultiplicityVector, Representation, SubspaceTuple, aut_order,
-                   ext_space, hom_blocks, hom_dim, matches_class, middle_term,
-                   quotient_by_subtuple, restrict_to_subtuple)
+                   ext_space, hom_blocks, hom_dim, middle_term)
 
 
 @dataclass(frozen=True)
@@ -194,70 +197,94 @@ def _dim_law_holds(n1: Representation, n2: Representation,
     return tuple(a + b for a, b in zip(n1.dims, n2.dims)) == m.dims
 
 
-def hall_number_grass(ar: ARQuiver, n1: Representation, n2: Representation,
-                      m: Representation, cap: int = 10_000_000) -> int:
-    """Count submodules of m isomorphic to n1 with quotient isomorphic to n2
-    by direct enumeration of stable subspace tuples.
+def hall_numbers_grass(ar: ARQuiver, m: Representation, e: Sequence[int],
+                       cap: int = 10_000_000
+                       ) -> dict[tuple[MultiplicityVector, MultiplicityVector], int]:
+    """The Hall numbers of m over every pair of classes (a, c), a of
+    dimension vector e: {(a, c): number of submodules U ≅ a with m/U ≅ c},
+    from one enumeration of the stable subspace tuples of shape e.
 
-    Each sub and quotient is classified by ``matches_class`` on the
-    separating set of its expected class only (``ARQuiver.separating_set``),
-    not on every knitted vertex.  Why that decides the class:
+    Each tuple's sub is classified by its into-vector and its quotient by
+    its out-of vector, both read off the Hom bases of m (``ARQuiver.
+    hom_frame``, which holds the proof sketch), on the distinguishing set
+    of the sub's and of the quotient's dimension vector only
+    (``ARQuiver.distinguishing_set``).  Why that decides the classes:
 
     * a sub or quotient of dimension vector e is a module over the algebra;
     * every module is a direct sum of knitted indecomposables, because the
       knitted component is finite and therefore the whole AR quiver
       (Auslander), so the module is one of ``ar.module_classes(e)``;
     * the Hom matrix is unitriangular, so distinct classes have distinct
-      into-vectors (dim Hom(X_k, -))_k, and every other class of dimension
-      vector e differs from class a somewhere on a's separating set;
-    * hence a module of dimension vector e that agrees with class a on a's
-      separating set is of class a.
+      into-vectors and distinct out-of vectors, and the distinguishing set
+      tells every class of e from every other;
+    * hence the class whose vector agrees with the module's on that set is
+      the module's class.
     """
+    d = m.dims
+    if len(e) != len(d) or min(e, default=0) < 0:
+        raise ValueError("bad shape vector")
+    if any(x > y for x, y in zip(e, d)):
+        return {}
+    frame = ar.hom_frame(m)
+    sub_coords, subs = ar.distinguishing_set(e)
+    quot_coords, quots = ar.distinguishing_set(
+        tuple(y - x for x, y in zip(e, d)), outof=True)
+    counts: dict[tuple[MultiplicityVector, MultiplicityVector], int] = {}
+    for tup in closed_subspace_tuples(m, e, cap=cap):
+        key = tup.key()
+        pair = (_lookup(subs, frame.into_vector(key, sub_coords)),
+                _lookup(quots, frame.outof_vector(key, quot_coords)))
+        counts[pair] = counts.get(pair, 0) + 1
+    return counts
+
+
+def _lookup(table: dict[tuple[int, ...], MultiplicityVector],
+            vector: Sequence[int]) -> MultiplicityVector:
+    mv = table.get(tuple(vector))
+    if mv is None:
+        raise NegativeMultiplicity(
+            f"Hom vector {tuple(vector)} matches no class of its dimension "
+            "vector (AR quiver incomplete)")
+    return mv
+
+
+def hall_number_grass(ar: ARQuiver, n1: Representation, n2: Representation,
+                      m: Representation, cap: int = 10_000_000) -> int:
+    """Submodules of m isomorphic to n1 with quotient isomorphic to n2: the
+    entry (class of n1, class of n2) of ``hall_numbers_grass``, settled as
+    0 without enumeration when Hom(n1, m) or Hom(m, n2) is zero."""
     if not _dim_law_holds(n1, n2, m):
         return 0
     if n1.total_dim and hom_dim(n1, m) == 0:
         return 0
     if n2.total_dim and hom_dim(m, n2) == 0:
         return 0
-    expected_sub = _separating_coordinates(ar, ar.class_of(n1))
-    expected_quot = _separating_coordinates(ar, ar.class_of(n2))
-    count = 0
-    for tup in closed_subspace_tuples(m, n1.dims, cap=cap):
-        sub, _ = restrict_to_subtuple(m, tup)
-        if not matches_class(sub, ar, expected_sub):
-            continue
-        quot, _ = quotient_by_subtuple(m, tup)
-        if matches_class(quot, ar, expected_quot):
-            count += 1
-    return count
+    row = hall_numbers_grass(ar, m, n1.dims, cap=cap)
+    return row.get((ar.class_of(n1), ar.class_of(n2)), 0)
 
 
-def _separating_coordinates(ar: ARQuiver,
-                            mv: MultiplicityVector) -> list[tuple[int, int]]:
-    """(k, dim Hom(X_k, mv)) over the separating set of mv."""
-    into, _ = ar.hom_vectors(mv)
-    return [(k, into[k]) for k in ar.separating_set(mv)]
-
-
-def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
-                    m: Representation, hom_bound: int = 1_000_000,
-                    aut_bound: int = 1_000_000) -> int:
-    """Count the same set through injective homomorphisms n1 -> m: the
-    images of those maps whose cokernel is isomorphic to n2.
+def hall_numbers_hom(ar: ARQuiver, n1: Representation, m: Representation,
+                     hom_bound: int = 1_000_000, aut_bound: int = 1_000_000
+                     ) -> dict[MultiplicityVector, int]:
+    """The same numbers through injective homomorphisms n1 -> m, for every
+    quotient class at once: {c: number of images U of injective maps with
+    m/U of class c}.
 
     ``linalg.injective_images`` walks Hom(n1, m) one orbit of
     G = Π GL_{n_i}(F_p) at a time, for n1 = ⊕ X_i^{n_i} as ``n1.runs``
-    records it (``reps.hom_blocks``: a basis of Hom(X_i, m) per distinct
-    summand).  G mixes the copies of each summand; it acts freely on the
-    injective maps and keeps their image.  Its proof sketch covers the
-    slice (on an injective map the copies' maps of X_i are independent, so
-    each orbit has one member whose copies are the reduced echelon basis
-    of an n_i-dimensional subspace of Hom(X_i, m)) and the pruning (rows
-    that fall in the span of the rows above them at their vertex leave no
-    injective completion).  Each distinct image is a submodule U ≅ n1,
-    classified once: the cokernel m/U is compared on every knitted vertex,
-    which keeps this route independent of the separating sets of the
-    subspace route.
+    records it (``_hom_blocks``: a basis of Hom(X_i, m) per distinct
+    summand, from m's Hom bases).  G mixes the copies of each summand; it
+    acts freely on the injective maps and keeps their image.  Its proof
+    sketch covers the slice (on an injective map the copies' maps of X_i
+    are independent, so each orbit has one member whose copies are the
+    reduced echelon basis of an n_i-dimensional subspace of Hom(X_i, m))
+    and the pruning (rows that fall in the span of the rows above them at
+    their vertex leave no injective completion).  Each distinct image is
+    a submodule U ≅ n1, classified once: the out-of vector of m/U, read
+    off the Hom bases of m (``ARQuiver.hom_frame``) on every knitted
+    vertex, must be the out-of vector of one class of its dimension
+    vector.  Comparing every coordinate keeps this route independent of
+    the distinguishing sets of the subspace route.
 
     Checked at run time: the injective maps with image U are the
     isomorphisms n1 -> U followed by the inclusion, and precomposition by
@@ -267,27 +294,51 @@ def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
     the same runs.  Raises ``ResourceBound`` when p^{dim Hom(n1, m)}
     exceeds ``hom_bound`` or p^{dim End(n1)} exceeds ``aut_bound``.
     """
-    if not _dim_law_holds(n1, n2, m):
-        return 0
     p = m.field.p
-    blocks = hom_blocks(n1, m)
+    frame = ar.hom_frame(m)
+    blocks = _hom_blocks(ar, frame, n1, m)
     h = sum(n * len(basis) for n, _, basis in blocks)
     if p ** h > hom_bound:
         raise ResourceBound(
             f"hom enumeration needs {p}^{h} maps > bound {hom_bound}")
     aut = aut_order(n1, bound=aut_bound)
-    expected_quot = list(enumerate(ar.hom_vectors(ar.class_of(n2))[0]))
-    field = m.field
-    count = 0
-    for key, maps in injective_images(m.dims, blocks, field).items():
+    rest = tuple(y - x for x, y in zip(n1.dims, m.dims))
+    classes = ar.module_classes(rest)
+    quotients = {tuple(ar.hom_vectors(c)[1]): c for c in classes}
+    if len(quotients) != len(classes):
+        raise NonUnitriangularHomMatrix(
+            f"two classes of dimension vector {rest} share their out-of vector")
+    every = range(len(ar.vertices))
+    counts: dict[MultiplicityVector, int] = {}
+    for key, maps in injective_images(m.dims, blocks, m.field).items():
         if maps != aut:
             raise NonIntegralOrbitCount(
                 f"{maps} injective maps onto one image, but |Aut| = {aut}")
-        bases = tuple(FMatrix(field, len(rows), d, rows)
-                      for rows, d in zip(key, m.dims))
-        quot, _ = quotient_by_subtuple(m, SubspaceTuple(m, bases))
-        count += matches_class(quot, ar, expected_quot)
-    return count
+        c = _lookup(quotients, frame.outof_vector(key, every))
+        counts[c] = counts.get(c, 0) + 1
+    return counts
+
+
+def _hom_blocks(ar: ARQuiver, frame: HomFrame, n1: Representation,
+                m: Representation) -> list[tuple]:
+    """``reps.hom_blocks(n1, m)``, with the basis of Hom(X_k, m) taken from
+    m's frame for each knitted summand X_k that ``n1.runs`` records."""
+    runs = n1.runs or ()
+    found = [ar.by_id.get(x.dim_id()) for x, _ in runs]
+    if not runs or any(v is None or v.rep is not x for v, (x, _) in zip(found, runs)):
+        return hom_blocks(n1, m)
+    return [(n, x.dims, frame.into_basis(v.index)) for v, (x, n) in zip(found, runs)]
+
+
+def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
+                    m: Representation, hom_bound: int = 1_000_000,
+                    aut_bound: int = 1_000_000) -> int:
+    """Submodules of m isomorphic to n1 with quotient isomorphic to n2 by
+    the hom oracle: the entry (class of n2) of ``hall_numbers_hom``."""
+    if not _dim_law_holds(n1, n2, m):
+        return 0
+    row = hall_numbers_hom(ar, n1, m, hom_bound=hom_bound, aut_bound=aut_bound)
+    return row.get(ar.class_of(n2), 0)
 
 
 def hall_numbers_ext(ar: ARQuiver, a: MultiplicityVector, c: MultiplicityVector,
@@ -463,13 +514,13 @@ class ARFamily:
             return ar
         ar = knit(self.spec, p, KnitConfig(max_vertices=self.config.max_vertices,
                                            seed=self.config.seed))
-        self._quivers[p] = ar
         ids = frozenset(v.id for v in ar.vertices)
         if self._reference_ids is None:
             self._reference_ids = ids
         elif ids != self._reference_ids:
             raise FieldDependenceDetected(
                 f"vertex ids over F_{p} differ from the reference knit")
+        self._quivers[p] = ar
         return ar
 
     def reference_quiver(self) -> ARQuiver:
@@ -629,13 +680,17 @@ def check_oracle_equivalence(spec: AlgebraSpec, primes: Sequence[int],
     """Compare the three counting routes on every triple of module classes
     whose members each have total dimension at most ``max_total_dim``.
 
-    Triples whose hom-side enumeration exceeds the configured resource
-    bounds are recorded as skipped (the hom oracle's precondition fails
-    there); the hom route runs first, so a skipped triple is not counted
-    by the other routes.  On every other triple the grass and hom counts
-    must agree exactly, and so must the Ext route's (walked once per
-    (a, c) on the prime's quiver).  A mismatch is recorded as (p, a, c, b,
-    grass, hom, ext).  The sweep runs in one process: ``jobs`` must be 1.
+    The routes answer rows: per ambient class b and sub class a, one hom
+    row over every quotient class c; per b and shape e, one grass row over
+    every (a, c) of that shape, counted only when some a of the shape is
+    not skipped.  The resource bounds of the hom oracle depend on (b, a)
+    only (p^{dim Hom(a, b)} and p^{dim End(a)}), so when the hom row of
+    (b, a) exceeds them every triple (a, c, b) is recorded as skipped (the
+    hom oracle's precondition fails there) and no route counts it.  On
+    every other triple the grass and hom counts must agree exactly, and so
+    must the Ext route's (walked once per (a, c) on the prime's quiver).
+    A mismatch is recorded as (p, a, c, b, grass, hom, ext).  The sweep
+    runs in one process: ``jobs`` must be 1.
     """
     if jobs != 1:
         raise ValueError("jobs must be 1: the oracle sweep runs in one process")
@@ -666,18 +721,22 @@ def _oracle_equivalence_slice(spec: AlgebraSpec, p: int,
             m = module(b)
             for e in itertools.product(*(range(x + 1) for x in d)):
                 rest = tuple(x - y for x, y in zip(d, e))
+                quotients = enumerate_module_classes(ar, rest)
+                hom_rows = {}
                 for a_mv in enumerate_module_classes(ar, e):
-                    n1 = module(a_mv)
-                    for c_mv in enumerate_module_classes(ar, rest):
-                        n2 = module(c_mv)
-                        try:
-                            hom = hall_number_hom(ar, n1, n2, m,
-                                                  hom_bound=hom_bound,
-                                                  aut_bound=aut_bound)
-                        except ResourceBound:
-                            skipped += 1
-                            continue
-                        grass = hall_number_grass(ar, n1, n2, m)
+                    try:
+                        hom_rows[a_mv] = hall_numbers_hom(
+                            ar, module(a_mv), m, hom_bound=hom_bound,
+                            aut_bound=aut_bound)
+                    except ResourceBound:
+                        skipped += len(quotients)
+                if not hom_rows:
+                    continue
+                grass_row = hall_numbers_grass(ar, m, e)
+                for a_mv, hom_row in hom_rows.items():
+                    for c_mv in quotients:
+                        grass = grass_row.get((a_mv, c_mv), 0)
+                        hom = hom_row.get(c_mv, 0)
                         compared += 1
                         if grass:
                             nonzero += 1

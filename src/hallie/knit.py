@@ -21,16 +21,17 @@ path basis.  Vertex ids are the dimension vectors rendered as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from operator import mul
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import AlgebraSpec, projective_rep
 from .errors import (EtaNotInjective, FieldDependenceDetected, IsProjective,
                      NonUnitriangularHomMatrix, NotDirected,
                      NotRepresentationFinite)
-from .linalg import FMatrix, PrimeField, hstack, row_space, vstack
+from .linalg import FMatrix, PrimeField, echelon, hstack, row_space, vstack
 from .reps import (MultiplicityVector, Representation, SubspaceTuple,
                    check_relations, compose_homs, decompose_with_embeddings,
-                   direct_sum, find_isomorphism, hom_dim, identify,
+                   direct_sum, find_isomorphism, hom_dim, hom_space, identify,
                    restrict_to_subtuple, sub_quotient, summand_inclusions)
 
 
@@ -79,9 +80,11 @@ class ARQuiver:
     again and again: the module classes of each dimension vector
     (``module_classes``), the module of each class (``class_module``), the
     class ``identify`` found for each module it was asked about
-    (``class_of``), the separating set of each class
-    (``separating_set``) and, in ``ext_tables``, the Hall numbers of each
-    pair (a, c) from one walk of Ext¹(c, a) (``hall.ext_hall_number``).
+    (``class_of``), the Hom bases of each ambient module the subspace and
+    hom routes count in (``hom_frame``), the distinguishing coordinates of
+    each dimension vector (``distinguishing_set``) and, in ``ext_tables``,
+    the Hall numbers of each pair (a, c) from one walk of Ext¹(c, a)
+    (``hall.ext_hall_number``).
     The memos belong to this quiver, so quivers over different primes never
     share them.
     """
@@ -100,7 +103,9 @@ class ARQuiver:
         self._hom_matrix: list[list[int]] | None = None
         self._classes: dict[tuple[int, ...], tuple[MultiplicityVector, ...]] = {}
         self._identified: dict[Representation, MultiplicityVector] = {}
-        self._separating: dict[MultiplicityVector, tuple[int, ...]] = {}
+        self._frames: dict[Representation, HomFrame] = {}
+        self._frame_rows: dict[tuple, tuple] = {}
+        self._distinguishing: dict[tuple, tuple[tuple[int, ...], dict]] = {}
         self._modules: dict[MultiplicityVector, Representation] = {}
         self.ext_tables: dict[tuple[MultiplicityVector, MultiplicityVector],
                               dict[MultiplicityVector, int]] = {}
@@ -217,37 +222,56 @@ class ARQuiver:
             mv = self._identified[m] = identify(m, self)
         return mv
 
-    def separating_set(self, mv: MultiplicityVector) -> tuple[int, ...]:
-        """Knitted vertex indices k at which dim Hom(X_k, -), read off the
-        Hom matrix, tells the class mv apart from every other class of its
-        dimension vector; memoized per class.
+    def hom_frame(self, m: Representation) -> "HomFrame":
+        """The ``HomFrame`` of m against the knitted vertices, memoized per
+        module."""
+        frame = self._frames.get(m)
+        if frame is None:
+            frame = self._frames[m] = HomFrame(m, [v.rep for v in self.vertices],
+                                               self._frame_rows)
+        return frame
 
-        Built greedily: each step takes the coordinate that separates mv
-        from the most classes not yet told apart (the lowest index on a
-        tie), so the most telling coordinates come first.  Each step
-        separates at least one more class, else
-        ``NonUnitriangularHomMatrix`` is raised: two classes with one
-        into-vector mean the Hom matrix is not unitriangular.
+    def distinguishing_set(self, d: Sequence[int], outof: bool = False
+                           ) -> tuple[tuple[int, ...], dict[tuple[int, ...],
+                                                            MultiplicityVector]]:
+        """Knitted vertex indices k at which the into-vectors
+        (dim Hom(X_k, -))_k, or with ``outof`` the out-of vectors
+        (dim Hom(-, X_k))_k, read off the Hom matrix, tell every class of
+        dimension vector d from every other, with the class of each
+        restricted vector; memoized per dimension vector and side.
+
+        Built greedily: each step takes the coordinate that splits the
+        classes not yet told apart into the most groups (the lowest index
+        on a tie), so the most telling coordinates come first.  Each step
+        splits at least one group, else ``NonUnitriangularHomMatrix`` is
+        raised: two classes with one vector mean the Hom matrix is not
+        unitriangular.
         """
-        sep = self._separating.get(mv)
-        if sep is not None:
-            return sep
-        into = self.hom_vectors(mv)[0]
-        rivals = [self.hom_vectors(other)[0]
-                  for other in self.module_classes(self.class_dim_vector(mv))
-                  if other != mv]
-        chosen = []
-        while rivals:
-            split = [sum(r[k] != into[k] for r in rivals) for k in range(len(into))]
-            k = max(range(len(into)), key=split.__getitem__)
-            if not split[k]:
+        key = (tuple(d), outof)
+        found = self._distinguishing.get(key)
+        if found is not None:
+            return found
+        vectors = [(self.hom_vectors(mv)[int(outof)], mv)
+                   for mv in self.module_classes(d)]
+        coords: list[int] = []
+        while True:
+            groups: dict[tuple[int, ...], list[list[int]]] = {}
+            for vec, _ in vectors:
+                groups.setdefault(tuple(vec[k] for k in coords), []).append(vec)
+            clashes = [g for g in groups.values() if len(g) > 1]
+            if not clashes:
+                break
+            parts = [sum(len({vec[k] for vec in g}) for g in clashes)
+                     for k in range(len(self.vertices))]
+            k = max(range(len(parts)), key=parts.__getitem__)
+            if parts[k] == len(clashes):
                 raise NonUnitriangularHomMatrix(
-                    f"class {mv.render()} shares its Hom vector with another "
-                    "class of its dimension vector")
-            chosen.append(k)
-            rivals = [r for r in rivals if r[k] == into[k]]
-        self._separating[mv] = sep = tuple(chosen)
-        return sep
+                    f"two classes of dimension vector {tuple(d)} share their "
+                    f"{'out-of' if outof else 'into'}-vector")
+            coords.append(k)
+        table = {tuple(vec[k] for k in coords): mv for vec, mv in vectors}
+        self._distinguishing[key] = found = (tuple(coords), table)
+        return found
 
     def class_module(self, mv) -> Representation:
         """The direct sum of the knitted indecomposables in mv, memoized
@@ -261,6 +285,110 @@ class ARQuiver:
             m.runs = runs
             self._modules[mv] = m
         return m
+
+
+class HomFrame:
+    """Bases of Hom(X_k, m) and Hom(m, X_k) for every knitted vertex X_k,
+    from which the Hom vectors of a submodule U ⊂ m and of m/U are read
+    without building either module.
+
+    A submodule is given by its subspace tuple: per vertex i, the rows of
+    the reduced echelon basis of U_i ⊂ m_i (``SubspaceTuple.key()``, the
+    image keys of ``linalg.injective_images``).
+
+    Why.  Hom(X, -) and Hom(-, X) are left exact, so applied to
+    0 -> U -> m -> m/U -> 0 they give
+
+        Hom(X_k, U)   ≅ {f ∈ Hom(X_k, m) : f(X_k) ⊆ U},
+        Hom(m/U, X_k) ≅ {g ∈ Hom(m, X_k) : g(U) = 0}.
+
+    Write f = Σ_j c_j f_j over the basis f_1, …, f_h of Hom(X_k, m).  The
+    condition f(X_k) ⊆ U is linear in c: f_i(x) ≡ 0 modulo U_i for every
+    vertex i and basis vector x of (X_k)_i, and reducing f_{j,i}(x) against
+    the reduced echelon basis of U_i is the projection onto m_i/U_i.  So
+    dim Hom(X_k, U) = h − rank of the matrix whose row j lists the reduced
+    f_{j,i}(x).  Likewise dim Hom(m/U, X_k) = h' − rank of the matrix whose
+    row j lists g_{j,i}(u) for the basis rows u of every U_i.
+
+    Either vector pins down the class of a module M = ⊕ X_j^{n_j}:
+    dim Hom(X_k, M) = Σ_j H[k][j] n_j and dim Hom(M, X_k) = Σ_j n_j H[j][k]
+    for the Hom matrix H, which is unitriangular, so both systems solve
+    uniquely for the multiplicities.
+    """
+
+    __slots__ = ("m", "xs", "shared", "p", "inv", "_into", "_outof")
+
+    def __init__(self, m: Representation, xs: Sequence[Representation],
+                 shared: dict[tuple, tuple]):
+        self.m, self.xs, self.shared = m, xs, shared
+        self.p, self.inv = m.field.p, m.field.inverses
+        self._into: list[list | None] = [None] * len(xs)
+        self._outof: list[list | None] = [None] * len(xs)
+
+    def into_basis(self, k: int) -> list:
+        """A basis of Hom(X_k, m), computed on first use: per map f, per
+        vertex, the rows of fᵀ (the images of a basis of (X_k)_i), as
+        ``linalg.injective_images`` takes them."""
+        if self._into[k] is None:
+            self._into[k] = self._keep(
+                (f[v].transpose().rows for v in self.m.spec.vertices)
+                for f in hom_space(self.xs[k], self.m))
+        return self._into[k]
+
+    def outof_basis(self, k: int) -> list:
+        """A basis of Hom(m, X_k), computed on first use: per map g, per
+        vertex, the rows of g."""
+        if self._outof[k] is None:
+            self._outof[k] = self._keep(
+                (g[v].rows for v in self.m.spec.vertices)
+                for g in hom_space(self.m, self.xs[k]))
+        return self._outof[k]
+
+    def _keep(self, maps: Iterable[Iterable[tuple]]) -> list[tuple]:
+        """maps, with every tuple of rows replaced by an equal one that a
+        frame of the same quiver already holds: the bases of the class
+        modules repeat a few distinct rows, so the memo stays small."""
+        share = self.shared.setdefault
+        out = []
+        for f in maps:
+            f = tuple(share(rows, rows) for rows in
+                      (tuple(share(row, row) for row in rows) for rows in f))
+            out.append(share(f, f))
+        return out
+
+    def into_vector(self, sub: Sequence[Sequence[Sequence[int]]],
+                    coords: Sequence[int]) -> list[int]:
+        """dim Hom(X_k, U) for each k in coords."""
+        p = self.p
+        spans = [[(next(c for c, x in enumerate(u) if x), u) for u in rows]
+                 for rows in sub]
+        out = []
+        for k in coords:
+            matrix = []
+            for f in self.into_basis(k):
+                row = []
+                for span, images in zip(spans, f):
+                    for v in images:
+                        for c, u in span:  # v modulo U_i
+                            t = v[c]
+                            if t:
+                                v = [(a - t * b) % p for a, b in zip(v, u)]
+                        row.extend(v)
+                matrix.append(row)
+            out.append(len(matrix) - len(echelon(matrix, p, self.inv)))
+        return out
+
+    def outof_vector(self, sub: Sequence[Sequence[Sequence[int]]],
+                     coords: Sequence[int]) -> list[int]:
+        """dim Hom(m/U, X_k) for each k in coords."""
+        p = self.p
+        out = []
+        for k in coords:
+            matrix = [[sum(map(mul, g_row, u)) % p
+                       for g_i, basis in zip(g, sub) for u in basis for g_row in g_i]
+                      for g in self.outof_basis(k)]
+            out.append(len(matrix) - len(echelon(matrix, p, self.inv)))
+        return out
 
 
 def _hom_check(source: Representation, target: Representation,

@@ -806,10 +806,11 @@ def matches_class(m: Representation, ar: "ARQuiver",
     knitted vertices X_k.  Aborts at the first mismatch.
 
     Over all coordinates a full match pins down the isomorphism class,
-    since the Hom matrix is unitriangular; the hom oracle classifies that
-    way.  The subspace route passes only the class's separating set
-    (``ARQuiver.separating_set``), which pins the class down among modules
-    of its dimension vector.
+    since the Hom matrix is unitriangular.  It solves one Hom system per
+    coordinate on a module that must be built first; the counting routes
+    read the same dimensions off the Hom bases of the ambient module
+    instead (``ARQuiver.hom_frame``), and this stays as the reference
+    classification they are tested against.
     """
     vertices = ar.vertices
     for k, want in expected:

@@ -3,16 +3,19 @@ import itertools
 import pytest
 
 from hallie import hall, reps
-from hallie.errors import (ExtDimensionMismatch, InconsistentCounts,
-                           NonIntegralOrbitCount, ResourceBound)
-from hallie.hall import (ARFamily, HallConfig, closed_subspace_tuples,
-                         first_primes, hall_number_grass, hall_number_hom,
-                         hall_numbers_ext, lagrange_interpolate)
+from hallie.errors import (ExtDimensionMismatch, FieldDependenceDetected,
+                           InconsistentCounts, NonIntegralOrbitCount,
+                           ResourceBound)
+from hallie.hall import (ARFamily, HallConfig, check_oracle_equivalence,
+                         closed_subspace_tuples, first_primes, hall_number_grass,
+                         hall_number_hom, hall_numbers_ext, hall_numbers_grass,
+                         hall_numbers_hom, lagrange_interpolate)
 from hallie.knit import knit
 from hallie.liealg import hall_lie_table
 from hallie.reps import (ExtSpace, MultiplicityVector, Representation, direct_sum,
-                         hom_dim, identify, matches_class, quotient_by_subtuple,
-                         restrict_to_subtuple, simple_rep, sub_quotient)
+                         hom_blocks, hom_dim, identify, matches_class,
+                         quotient_by_subtuple, restrict_to_subtuple, simple_rep,
+                         sub_quotient)
 
 
 S1, S2, P1 = (MultiplicityVector.unit(vid) for vid in ("1-0", "0-1", "1-1"))
@@ -140,9 +143,10 @@ class TestOracleAgreement:
 
 
 def _count_on_all_coordinates(ar, n1, n2, m):
-    """The subspace route with every sub and quotient classified on all
-    knitted vertices: the reference for the separating sets.  A zero Hom
-    space settles a count before any classification, on both sides."""
+    """The subspace route with every sub and quotient built and classified
+    on all knitted vertices: the reference for the Hom-basis classification
+    on distinguishing sets.  A zero Hom space settles a count before any
+    classification, on both sides."""
     if hom_dim(n1, m) == 0 or hom_dim(m, n2) == 0:
         return 0
     want_sub = list(enumerate(ar.hom_vectors(identify(n1, ar))[0]))
@@ -162,7 +166,7 @@ class TestSeparatingSets:
     def test_bracket_triples_match_full_classification(self, algebras, name, p):
         """Every triple of a bracket [x, y] (sub x, quotient y, any class b
         of the summed dimension vector) counted by ``hall_number_grass`` on
-        separating sets and by ``matches_class`` over all coordinates."""
+        distinguishing sets and by ``matches_class`` over all coordinates."""
         ar = knit(algebras[name], p)
         nonzero = 0
         for x, y in itertools.permutations(ar.vertices, 2):
@@ -174,6 +178,83 @@ class TestSeparatingSets:
                     (x.id, y.id, b.render())
                 nonzero += want != 0
         assert nonzero > 0
+
+
+def _groups(ar, max_total_dim):
+    """(b, e, sub classes, quotient classes) over every class b of total
+    dimension at most ``max_total_dim`` and every shape e below it."""
+    for d in itertools.product(range(max_total_dim + 1), repeat=len(ar.spec.vertices)):
+        if not 0 < sum(d) <= max_total_dim:
+            continue
+        for b in ar.module_classes(d):
+            for e in itertools.product(*(range(x + 1) for x in d)):
+                rest = tuple(x - y for x, y in zip(d, e))
+                yield b, e, ar.module_classes(e), ar.module_classes(rest)
+
+
+class TestRows:
+    """The grass and hom routes answer a whole row at once; the per-triple
+    functions look their entry up in it."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("name", ["a2", "a3_bound", "csquare"])
+    def test_grass_row_is_the_triples(self, algebras, name, p):
+        """Each row holds the nonzero per-triple counts over its classes,
+        and its counts sum to the number of tuples of shape e."""
+        ar = knit(algebras[name], p)
+        module = ar.class_module
+        for b, e, subs, quots in _groups(ar, 3):
+            m = module(b)
+            row = hall_numbers_grass(ar, m, e)
+            assert sum(row.values()) == len(list(closed_subspace_tuples(m, e)))
+            triples = {(a, c): hall_number_grass(ar, module(a), module(c), m)
+                       for a in subs for c in quots}
+            assert row == {k: n for k, n in triples.items() if n}, (b.render(), e)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("name", ["a2", "a3_bound", "csquare"])
+    def test_hom_row_is_the_triples(self, algebras, name, p):
+        ar = knit(algebras[name], p)
+        module = ar.class_module
+        for b, e, subs, quots in _groups(ar, 3):
+            m = module(b)
+            for a in subs:
+                row = hall_numbers_hom(ar, module(a), m)
+                triples = {c: hall_number_hom(ar, module(a), module(c), m)
+                           for c in quots}
+                assert row == {c: n for c, n in triples.items() if n}, \
+                    (a.render(), b.render())
+
+    def test_partly_skipped_group_keeps_the_report(self, algebras):
+        """A hom bound of 4 skips some but not all sub classes a of a group
+        (b, e) at p = 2; the report is the one the per-triple sweep gave."""
+        spec = algebras["a3_bound"]
+        ar = knit(spec, 2)
+        mixed = 0
+        for b, e, subs, _ in _groups(ar, 3):
+            m = ar.class_module(b)
+            over = [2 ** sum(n * len(basis) for n, _, basis in
+                             hom_blocks(ar.class_module(a), m)) > 4 for a in subs]
+            mixed += any(over) and not all(over)
+        assert mixed > 0
+        rep = check_oracle_equivalence(spec, (2, 3), 3, hom_bound=4)
+        assert (rep.compared, rep.nonzero, rep.skipped, rep.mismatches) == \
+            (258, 149, 132, [])
+
+
+class TestFamilyQuivers:
+    def test_field_dependent_quiver_is_never_served(self, algebras, monkeypatch):
+        """A quiver whose vertex ids differ from the reference knit (a3
+        knitted in place of a2 at p = 3) is rejected on every call, not
+        only on the first."""
+        fam = ARFamily(algebras["a2"])
+        fam.quiver(2)
+        real = hall.knit
+        monkeypatch.setattr(hall, "knit",
+                            lambda spec, p, config: real(algebras["a3"], p, config))
+        for _ in range(2):
+            with pytest.raises(FieldDependenceDetected):
+                fam.quiver(3)
 
 
 class TestInterpolation:

@@ -7,10 +7,12 @@ import pytest
 from hallie.algebra import parse_algebra
 from hallie.errors import (FieldDependenceDetected, IsProjective,
                            NonUnitriangularHomMatrix, NotRepresentationFinite)
+from hallie.hall import closed_subspace_tuples
 from hallie.knit import (KnitConfig, ar_sequence, ar_to_doc,
                          check_field_independence, compare_quiver_shapes, knit)
 from hallie.liealg import enumerate_module_classes
-from hallie.reps import MultiplicityVector, aut_order, check_relations, hom_dim
+from hallie.reps import (MultiplicityVector, aut_order, check_relations, hom_dim,
+                         quotient_by_subtuple, restrict_to_subtuple)
 
 knit_module = importlib.import_module("hallie.knit")  # hallie.knit is the function
 
@@ -240,14 +242,20 @@ class TestQuiverMemos:
         assert len(calls) == 1
 
     def test_separating_sets_separate(self, knits):
+        """The distinguishing set of the all-ones dimension vector, on the
+        into side and on the out-of side, tells every class from every
+        other, and its table maps each restricted vector to its class."""
         for name, ar in knits.items():
-            for mv in ar.module_classes((1,) * len(ar.spec.vertices)):
-                into = ar.hom_vectors(mv)[0]
-                sep = ar.separating_set(mv)
-                for other in ar.module_classes(ar.class_dim_vector(mv)):
-                    if other != mv:
-                        rival = ar.hom_vectors(other)[0]
-                        assert any(rival[k] != into[k] for k in sep), (name, mv)
+            d = (1,) * len(ar.spec.vertices)
+            for side in (0, 1):
+                coords, table = ar.distinguishing_set(d, outof=bool(side))
+                for mv in ar.module_classes(d):
+                    vec = ar.hom_vectors(mv)[side]
+                    assert table[tuple(vec[k] for k in coords)] == mv
+                    for other in ar.module_classes(d):
+                        if other != mv:
+                            rival = ar.hom_vectors(other)[side]
+                            assert any(rival[k] != vec[k] for k in coords), (name, mv)
 
     def test_bounded_classes_are_the_filtered_classes(self, knits):
         """The knapsack pruned on Hom-vector bounds gives exactly the
@@ -267,13 +275,43 @@ class TestQuiverMemos:
     def test_shared_hom_vector_raises(self, algebras):
         """identify checks only the diagonal of the Hom matrix; a doctored
         entry below it gives P1 and S1 + S2 one into-vector, and building
-        either separating set must fail instead of looping."""
+        the into-side distinguishing set of their dimension vector must
+        fail instead of looping."""
         ar = knit(algebras["a2"], 2)
         ar.hom_matrix()[ar.order.index("1-0")][ar.order.index("1-1")] = 1
         assert ar.hom_vectors(P1)[0] == ar.hom_vectors(SPLIT)[0]
-        for mv in (P1, SPLIT):
-            with pytest.raises(NonUnitriangularHomMatrix):
-                ar.separating_set(mv)
+        with pytest.raises(NonUnitriangularHomMatrix):
+            ar.distinguishing_set((1, 1))
+
+
+class TestHomFrame:
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("name", ["a2", "a3", "a3_bound", "csquare", "d4"])
+    def test_vectors_match_built_modules(self, algebras, name, p):
+        """The frame's Hom vectors of every closed subspace tuple of every
+        class module of total dimension at most 4 against hom_dim on the
+        sub and the quotient built from the tuple, on every knitted
+        vertex."""
+        ar = knit(algebras[name], p)
+        xs = [v.rep for v in ar.vertices]
+        every = range(len(xs))
+        checked = 0
+        for d in itertools.product(range(5), repeat=len(ar.spec.vertices)):
+            if not 0 < sum(d) <= 4:
+                continue
+            for mv in ar.module_classes(d):
+                m = ar.class_module(mv)
+                frame = ar.hom_frame(m)
+                for e in itertools.product(*(range(x + 1) for x in d)):
+                    for tup in closed_subspace_tuples(m, e):
+                        sub, _ = restrict_to_subtuple(m, tup)
+                        quot, _ = quotient_by_subtuple(m, tup)
+                        assert frame.into_vector(tup.key(), every) == [
+                            hom_dim(x, sub) for x in xs], (mv.render(), e)
+                        assert frame.outof_vector(tup.key(), every) == [
+                            hom_dim(quot, x) for x in xs], (mv.render(), e)
+                        checked += 1
+        assert checked > 0
 
 
 class TestClosedFormAut:

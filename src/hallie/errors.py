@@ -81,7 +81,8 @@ class NonIntegralOrbitCount(VerificationError):
 
 class ExtDimensionMismatch(VerificationError):
     """Ext¹ computed from cocycles disagrees with the Hom matrix (dim ker δ
-    against dim Hom) or, on a hereditary algebra, with the Euler form."""
+    against dim Hom) or, on a hereditary algebra, with the Euler form, or a
+    nonzero extension class has the split middle term."""
 
 
 class InconsistentCounts(VerificationError):

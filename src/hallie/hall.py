@@ -8,11 +8,15 @@ counting routes are provided, and each answers a whole row at once:
   F^b_{a,c} = |Ext¹(c,a)_b| · |Aut b| / (|Aut a| · |Aut c| · q^{hom(c,a)}):
   one walk of Ext¹(c, a), one extension class per orbit of the nonzero
   scalars, identifies the middle term of each class and so answers every
-  ambient class b at once.  |Aut| is read in closed form off the Hom matrix
+  ambient class b at once.  A middle term is identified among the classes
+  below the Hom vectors of a ⊕ c, the classes a bracket can reach, by
+  solving dim Hom(X_k, -) only on the few knitted vertices X_k that tell
+  those classes apart (``ARQuiver.distinguishing_set`` with bounds).
+  |Aut| is read in closed form off the Hom matrix
   (``ARQuiver.class_aut_order``: the maps between non-isomorphic summands
   form the radical, and End/rad is a product of matrix algebras M_n(F_q)).
   ``ARFamily`` counts with it (``ext_hall_number``, one walk per pair
-  memoized on the quiver); the proof sketch is in its docstring.
+  memoized on the quiver); the proof sketches are in its docstring.
 * ``hall_numbers_grass`` enumerates the arrow-stable subspace tuples of
   one shape e in m once (in quiver-topological vertex order, so closure
   constraints prune the enumeration) and answers every pair (a, c) of sub
@@ -42,9 +46,10 @@ Interpolation: counts are taken at the first D+2 primes not on the excluded
 list, where D is the degree bound min(Σ e(d−e), hom(a,b) − end(a),
 hom(b,c) − end(c)) of ``ARFamily._interpolate`` (the ambient Grassmannian
 dimension, or the tight bound from counting injections and surjections,
-whichever is smaller); Lagrange interpolation over exact rationals on the
-first D+1 of them must give integer coefficients, and the held-out last
-prime must reproduce the interpolated value exactly.  On a validation
+whichever is smaller); exact Lagrange interpolation (integers over one
+common denominator) on the first D+1 of them must give integer
+coefficients, and the held-out last prime must reproduce the interpolated
+value exactly.  On a validation
 failure the smallest prime used is excluded once and the whole protocol
 retried.  The counts of an accepted polynomial must also respect the free
 action of the scalars on injections and surjections.
@@ -52,7 +57,9 @@ action of the scalars on injections and surjections.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -86,14 +93,15 @@ def primes_from(start_after: int = 1) -> Iterator[int]:
 
 
 def first_primes(count: int, excluded: Sequence[int] = ()) -> list[int]:
-    out = []
-    for p in primes_from():
-        if p in excluded:
-            continue
-        out.append(p)
-        if len(out) == count:
-            return out
-    raise AssertionError("unreachable")
+    """The first ``count`` primes not in ``excluded``; each call returns a
+    fresh list of a tuple memoized per (count, excluded)."""
+    return list(_first_primes(count, tuple(excluded)))
+
+
+@functools.lru_cache(maxsize=None)
+def _first_primes(count: int, excluded: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(itertools.islice((p for p in primes_from() if p not in excluded),
+                                  count))
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +370,37 @@ def hall_numbers_ext(ar: ARQuiver, a: MultiplicityVector, c: MultiplicityVector,
 
     The walk visits one extension class per orbit of F_q^* (scaling the
     cocycle by λ conjugates the middle term by λ on a), weighted by the
-    orbit size, and identifies each middle term with ``ar.class_of``; the
-    zero class is a ⊕ c.  |Aut| comes in closed form from
-    ``ARQuiver.class_aut_order``, hom(c, a) from the Hom matrix.  Checked
-    at run time: dim ker δ equals hom(c, a) and, on a hereditary algebra,
-    dim Ext¹(c, a) = hom(c, a) − ⟨dim c, dim a⟩ for the Euler form
+    orbit size; the zero class is a ⊕ c.  |Aut| comes in closed form from
+    ``ARQuiver.class_aut_order``, hom(c, a) from the Hom matrix.
+
+    Identification of a middle term m of a nonzero class.  m is one of the
+    bracket-bounded classes ``ar.module_classes(dim a + dim c, bounds)``,
+    bounds = (into(a) + into(c), outof(a) + outof(c)) = ``ar.hom_vectors
+    (a + c)``, the bounds ``liealg.hall_product`` enumerates with:
+
+    * Hom(X, −) is left exact, so on 0 -> a -> m -> c -> 0 it gives
+      dim Hom(X, m) ≤ dim Hom(X, a) + dim Hom(X, c) for every knitted X,
+      and Hom(−, X) gives dim Hom(m, X) ≤ dim Hom(a, X) + dim Hom(c, X);
+    * m is a direct sum of knitted indecomposables (the knitted component
+      is the whole AR quiver), so its class is on the bounded list;
+    * the class of m is not a ⊕ c: the middle term of a non-split exact
+      sequence is never isomorphic to the sum of its ends (T. Miyata,
+      *Note on direct summands of modules*, J. Math. Kyoto Univ. 7, 1967).
+
+    ``ar.distinguishing_set`` picks knitted vertices X_k whose into-vectors
+    tell every class of that list from every other, a ⊕ c included, and
+    memoizes them on the quiver per (dimension vector, bounds); only
+    dim Hom(X_k, m) at those k is solved, and the class whose vector agrees
+    there is m's.
+
+    Checked at run time: dim ker δ equals hom(c, a) and, on a hereditary
+    algebra, dim Ext¹(c, a) = hom(c, a) − ⟨dim c, dim a⟩ for the Euler form
     ⟨x, y⟩ = Σ_i x_i y_i − Σ_α x_{s(α)} y_{t(α)} (else
-    ``ExtDimensionMismatch``); every division is exact (else
-    ``NonIntegralOrbitCount``).
+    ``ExtDimensionMismatch``); a middle term whose vector matches no
+    bounded class raises ``NegativeMultiplicity``, one that reads as a ⊕ c
+    raises ``ExtDimensionMismatch``, and two bounded classes with one
+    vector raise ``NonUnitriangularHomMatrix``; every division is exact
+    (else ``NonIntegralOrbitCount``).
     """
     p = ar.field.p
     ext = ext_space(n2, n1)
@@ -390,9 +421,10 @@ def hall_numbers_ext(ar: ARQuiver, a: MultiplicityVector, c: MultiplicityVector,
                 f"Euler form gives {hom_ca - euler}")
     cocycle = [0] * (len(ext.basis[0]) if ext.basis else 0)
     deltas = [[(0, 0, j, v) for j, v in enumerate(z) if v] for z in ext.basis]
+    split = a + c
     walked: dict[MultiplicityVector, int] = {}
     for k, weight in enumerate(scalar_orbits([[cocycle]], deltas, p)):
-        b = a + c if k == 0 else ar.class_of(middle_term(n1, n2, cocycle))
+        b = split if k == 0 else _middle_class(ar, split, middle_term(n1, n2, cocycle))
         walked[b] = walked.get(b, 0) + weight
     denominator = ar.class_aut_order(a) * ar.class_aut_order(c) * p ** hom_ca
     out = {}
@@ -404,6 +436,20 @@ def hall_numbers_ext(ar: ARQuiver, a: MultiplicityVector, c: MultiplicityVector,
                 f"{numerator} not divisible by {denominator}")
         out[b] = numerator // denominator
     return out
+
+
+def _middle_class(ar: ARQuiver, split: MultiplicityVector,
+                  m: Representation) -> MultiplicityVector:
+    """The class of the middle term m of a nonzero extension class whose
+    split middle term is ``split``: identified on the distinguishing set
+    of the classes below the Hom vectors of ``split``
+    (``hall_numbers_ext`` holds the proof sketch)."""
+    coords, table = ar.distinguishing_set(m.dims, bounds=ar.hom_vectors(split))
+    b = _lookup(table, [hom_dim(ar.vertices[k].rep, m) for k in coords])
+    if b == split:
+        raise ExtDimensionMismatch(
+            f"a nonzero extension class has the split middle term {split.render()}")
+    return b
 
 
 def ext_hall_number(ar: ARQuiver, a: MultiplicityVector, c: MultiplicityVector,
@@ -465,30 +511,31 @@ class HallPolynomial:
 
 
 def lagrange_interpolate(nodes: Sequence[int], values: Sequence[int]) -> list[Fraction]:
-    """Exact interpolation; coefficients constant-term first."""
-    n = len(nodes)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(zip(nodes, values)):
-        num = [Fraction(1)]  # product of (t - xj) for j != i
-        den = Fraction(1)
-        for j, xj in enumerate(nodes):
-            if j == i:
-                continue
-            num = _poly_mul_linear(num, -Fraction(xj))
-            den *= Fraction(xi - xj)
-        scale = Fraction(yi) / den
-        for k, c in enumerate(num):
-            coeffs[k] += scale * c
-    return coeffs
+    """Exact interpolation; coefficients constant-term first.
 
-
-def _poly_mul_linear(poly: list[Fraction], constant: Fraction) -> list[Fraction]:
-    """poly(t) * (t + constant)."""
-    out = [Fraction(0)] * (len(poly) + 1)
-    for k, c in enumerate(poly):
-        out[k] += c * constant
-        out[k + 1] += c
-    return out
+    Over the integers with one common denominator: the Lagrange basis
+    polynomial of node x_i is P(t)/(t − x_i) divided by w_i = Π_{j≠i}
+    (x_i − x_j), where P(t) = Π_j (t − x_j).  With L the least common
+    multiple of the w_i, every L/w_i is an integer, so the numerator
+    Σ_i y_i · (L/w_i) · P(t)/(t − x_i) has integer coefficients (the
+    quotient by t − x_i is exact, by synthetic division), and the
+    coefficients are those integers over L."""
+    product = [1]  # P(t), constant term first
+    for x in nodes:
+        product = [0] + product
+        for k in range(len(product) - 1):
+            product[k] -= x * product[k + 1]
+    weights = [math.prod(xi - xj for j, xj in enumerate(nodes) if j != i)
+               for i, xi in enumerate(nodes)]
+    common = math.lcm(*weights)
+    numerator = [0] * len(nodes)
+    for xi, yi, wi in zip(nodes, values, weights):
+        scale = yi * (common // wi)
+        carry = 0  # P(t)/(t − x_i), from the top coefficient down
+        for k in range(len(nodes) - 1, -1, -1):
+            carry = product[k + 1] + xi * carry
+            numerator[k] += scale * carry
+    return [Fraction(c, common) for c in numerator]
 
 
 class ARFamily:
@@ -504,6 +551,7 @@ class ARFamily:
         self.config = config or HallConfig()
         self._quivers: dict[int, ARQuiver] = {}
         self._polynomials: dict[tuple, HallPolynomial] = {}
+        self._dims: dict[MultiplicityVector, tuple[int, ...]] = {}
         self._reference_ids: frozenset[str] | None = None
 
     # -- knitting ----------------------------------------------------------
@@ -529,7 +577,11 @@ class ARFamily:
     # -- classes -----------------------------------------------------------
 
     def class_dims(self, mv: MultiplicityVector) -> tuple[int, ...]:
-        return self.reference_quiver().class_dim_vector(mv)
+        """The dimension vector of the class mv, memoized per class."""
+        dims = self._dims.get(mv)
+        if dims is None:
+            dims = self._dims[mv] = self.reference_quiver().class_dim_vector(mv)
+        return dims
 
     # -- counting ----------------------------------------------------------
 

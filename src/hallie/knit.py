@@ -77,14 +77,15 @@ class ARQuiver:
     """The knitted Auslander-Reiten quiver with explicit irreducible maps.
 
     Besides the Hom matrix, a quiver memoizes what Hall counting asks of it
-    again and again: the module classes of each dimension vector
-    (``module_classes``), the module of each class (``class_module``), the
-    class ``identify`` found for each module it was asked about
-    (``class_of``), the Hom bases of each ambient module the subspace and
-    hom routes count in (``hom_frame``), the distinguishing coordinates of
-    each dimension vector (``distinguishing_set``) and, in ``ext_tables``,
-    the Hall numbers of each pair (a, c) from one walk of Ext¹(c, a)
-    (``hall.ext_hall_number``).
+    again and again: the module classes of each dimension vector and
+    bounds (``module_classes``), the Hom vectors and |Aut| of each class
+    (``hom_vectors``, ``class_aut_order``), the module of each class
+    (``class_module``), the class ``identify`` found for each module it was
+    asked about (``class_of``), the Hom bases of each ambient module the
+    subspace and hom routes count in (``hom_frame``), the distinguishing
+    coordinates of each dimension vector and bounds
+    (``distinguishing_set``) and, in ``ext_tables``, the Hall numbers of
+    each pair (a, c) from one walk of Ext¹(c, a) (``hall.ext_hall_number``).
     The memos belong to this quiver, so quivers over different primes never
     share them.
     """
@@ -101,7 +102,10 @@ class ARQuiver:
         self.by_id = {v.id: v for v in vertices}
         self.order = [v.id for v in vertices]
         self._hom_matrix: list[list[int]] | None = None
-        self._classes: dict[tuple[int, ...], tuple[MultiplicityVector, ...]] = {}
+        self._classes: dict[tuple, tuple[MultiplicityVector, ...]] = {}
+        self._hom_vectors: dict[MultiplicityVector, tuple[tuple[int, ...],
+                                                          tuple[int, ...]]] = {}
+        self._aut_orders: dict[MultiplicityVector, int] = {}
         self._identified: dict[Representation, MultiplicityVector] = {}
         self._frames: dict[Representation, HomFrame] = {}
         self._frame_rows: dict[tuple, tuple] = {}
@@ -129,19 +133,22 @@ class ARQuiver:
                 total[k] += count * rep.dims[k]
         return tuple(total)
 
-    def hom_vectors(self, mv) -> tuple[list[int], list[int]]:
+    def hom_vectors(self, mv) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(dim Hom(X_k, class))_k and (dim Hom(class, X_k))_k over the
-        knitted basis, read off the cached Hom matrix."""
-        H = self.hom_matrix()
-        n = len(self.vertices)
-        into = [0] * n
-        outof = [0] * n
-        for vid, count in mv.items():
-            j = self.by_id[vid].index
-            for k in range(n):
-                into[k] += count * H[k][j]
-                outof[k] += count * H[j][k]
-        return into, outof
+        knitted basis, read off the cached Hom matrix; memoized per class."""
+        vectors = self._hom_vectors.get(mv)
+        if vectors is None:
+            H = self.hom_matrix()
+            n = len(self.vertices)
+            into = [0] * n
+            outof = [0] * n
+            for vid, count in mv.items():
+                j = self.by_id[vid].index
+                for k in range(n):
+                    into[k] += count * H[k][j]
+                    outof[k] += count * H[j][k]
+            vectors = self._hom_vectors[mv] = (tuple(into), tuple(outof))
+        return vectors
 
     def module_classes(self, d: Sequence[int],
                        bounds: tuple[Sequence[int], Sequence[int]] | None = None
@@ -155,39 +162,63 @@ class ARQuiver:
         knapsack prunes on the prefix: the Hom matrix has no negative
         entries, so the vectors of a prefix only grow as summands are
         added, and a prefix above a bound has no completion below it.
+
+        Candidate vertices.  The knapsack runs only over the vertices X
+        that can be a summand: dims(X) ≤ d and, when bounded,
+        into_max[X] ≥ 1 and out-of_max[X] ≥ 1.  A summand X of multiplicity
+        n in a class M gives dim Hom(X, M) ≥ n·H[X][X] = n and likewise
+        dim Hom(M, X) ≥ n, because H[X][X] = 1 and H ≥ 0; so n is also at
+        most into_max[X] and out-of_max[X].  Every other vertex could only
+        be given the count 0, so dropping it leaves the list and its order
+        unchanged.  A branch also ends as soon as some coordinate of d that
+        is still unfilled lies outside the support of every candidate left.
         """
         key = (tuple(d), None if bounds is None else tuple(map(tuple, bounds)))
         classes = self._classes.get(key)
         if classes is not None:
             return classes
-        verts = self.vertices
-        n = len(verts)
-        H = self.hom_matrix() if bounds is not None else None
+        d, bounds = key
+        H = self.hom_matrix()
+        n = len(self.vertices)
+        candidates = []
+        for v in self.vertices:
+            top = min((y // x for x, y in zip(v.rep.dims, d) if x), default=0)
+            if bounds is not None:
+                top = min(top, bounds[0][v.index], bounds[1][v.index])
+            if top:
+                j = v.index
+                candidates.append((v.id, v.rep.dims, top,
+                                   tuple(H[k][j] for k in range(n)), H[j]))
+        cover = [0] * (len(candidates) + 1)  # coordinates the rest can fill
+        for pos in range(len(candidates) - 1, -1, -1):
+            cover[pos] = cover[pos + 1] | sum(
+                1 << i for i, x in enumerate(candidates[pos][1]) if x)
         out: list[MultiplicityVector] = []
 
-        def recurse(pos: int, remaining: tuple[int, ...], into: list[int],
-                    outof: list[int], acc: list[tuple[str, int]]) -> None:
-            if pos == len(verts):
-                if all(x == 0 for x in remaining):
-                    out.append(MultiplicityVector(acc))
+        def recurse(pos: int, remaining: tuple[int, ...], into: Sequence[int],
+                    outof: Sequence[int], acc: list[tuple[str, int]]) -> None:
+            left = sum(1 << i for i, x in enumerate(remaining) if x)
+            if not left:
+                out.append(MultiplicityVector(acc))
                 return
-            v = verts[pos]
-            dims = v.rep.dims
-            top = min((remaining[i] // dims[i] for i in range(len(dims)) if dims[i]),
-                      default=0)
+            if left & ~cover[pos]:
+                return
+            vid, dims, top, column, row = candidates[pos]
+            top = min(top, min(y // x for x, y in zip(dims, remaining) if x))
             for count in range(top + 1):
-                nxt = tuple(remaining[i] - count * dims[i] for i in range(len(dims)))
-                if H is not None and count:
-                    into = [into[k] + H[k][pos] for k in range(n)]
-                    outof = [outof[k] + H[pos][k] for k in range(n)]
-                    if (any(x > m for x, m in zip(into, bounds[0]))
-                            or any(x > m for x, m in zip(outof, bounds[1]))):
-                        break  # more copies of v only raise the vectors
-                acc.append((v.id, count))
-                recurse(pos + 1, nxt, into, outof, acc)
+                if count:
+                    remaining = tuple(y - x for x, y in zip(dims, remaining))
+                    if bounds is not None:
+                        into = [x + h for x, h in zip(into, column)]
+                        outof = [x + h for x, h in zip(outof, row)]
+                        if (any(x > m for x, m in zip(into, bounds[0]))
+                                or any(x > m for x, m in zip(outof, bounds[1]))):
+                            break  # more copies of v only raise the vectors
+                acc.append((vid, count))
+                recurse(pos + 1, remaining, into, outof, acc)
                 acc.pop()
 
-        recurse(0, tuple(d), [0] * n, [0] * n, [])
+        recurse(0, d, [0] * n, [0] * n, [])
         self._classes[key] = classes = tuple(out)
         return classes
 
@@ -205,14 +236,18 @@ class ARQuiver:
         radical), of dimension end − Σ n_i².  End(mv)/rad ≅ Π M_{n_i}(k), and
         an endomorphism is invertible iff its image there is, so Aut(mv) is
         the preimage of Π GL_{n_i}(k): |rad| · Π |GL_{n_i}(k)| elements.
+        Memoized per class.
         """
-        q = self.field.p
-        into = self.hom_vectors(mv)[0]
-        end = sum(n * into[self.by_id[x].index] for x, n in mv.items())
-        order = q ** (end - sum(n * n for _, n in mv.items()))
-        for _, n in mv.items():
-            for k in range(n):
-                order *= q ** n - q ** k
+        order = self._aut_orders.get(mv)
+        if order is None:
+            q = self.field.p
+            into = self.hom_vectors(mv)[0]
+            end = sum(n * into[self.by_id[x].index] for x, n in mv.items())
+            order = q ** (end - sum(n * n for _, n in mv.items()))
+            for _, n in mv.items():
+                for k in range(n):
+                    order *= q ** n - q ** k
+            self._aut_orders[mv] = order
         return order
 
     def class_of(self, m: Representation) -> MultiplicityVector:
@@ -231,14 +266,18 @@ class ARQuiver:
                                                self._frame_rows)
         return frame
 
-    def distinguishing_set(self, d: Sequence[int], outof: bool = False
+    def distinguishing_set(self, d: Sequence[int], outof: bool = False,
+                           bounds: tuple[Sequence[int], Sequence[int]] | None = None
                            ) -> tuple[tuple[int, ...], dict[tuple[int, ...],
                                                             MultiplicityVector]]:
         """Knitted vertex indices k at which the into-vectors
         (dim Hom(X_k, -))_k, or with ``outof`` the out-of vectors
         (dim Hom(-, X_k))_k, read off the Hom matrix, tell every class of
-        dimension vector d from every other, with the class of each
-        restricted vector; memoized per dimension vector and side.
+        ``module_classes(d, bounds)`` from every other, with the class of
+        each restricted vector; memoized per dimension vector, side and
+        bounds.  With ``bounds`` the set only has to separate the classes
+        below them, so it is no longer than the set of all of d: the Ext
+        route of ``hall.hall_numbers_ext`` identifies middle terms on it.
 
         Built greedily: each step takes the coordinate that splits the
         classes not yet told apart into the most groups (the lowest index
@@ -247,12 +286,12 @@ class ARQuiver:
         raised: two classes with one vector mean the Hom matrix is not
         unitriangular.
         """
-        key = (tuple(d), outof)
+        key = (tuple(d), outof, None if bounds is None else tuple(map(tuple, bounds)))
         found = self._distinguishing.get(key)
         if found is not None:
             return found
         vectors = [(self.hom_vectors(mv)[int(outof)], mv)
-                   for mv in self.module_classes(d)]
+                   for mv in self.module_classes(d, bounds)]
         coords: list[int] = []
         while True:
             groups: dict[tuple[int, ...], list[list[int]]] = {}
@@ -573,6 +612,9 @@ def knit(spec: AlgebraSpec, p: int, config: KnitConfig | None = None) -> ARQuive
     ar = ARQuiver(spec, field, vertices, arrows, tau, meshes)
     H = ar.hom_matrix()
     for i in range(len(vertices)):
+        if H[i][i] != 1:
+            raise NonUnitriangularHomMatrix(
+                f"dim End({vertices[i].id}) = {H[i][i]} != 1")
         for j in range(i):
             if H[i][j] != 0:
                 raise NotDirected(

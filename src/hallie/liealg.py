@@ -93,14 +93,13 @@ def hall_product(family: ARFamily, c: MultiplicityVector,
     Only the classes b with into(b) <= into(a) + into(c) and
     outof(b) <= outof(a) + outof(c) are enumerated.  Every other class fails
     an upper inequality of ``_possibly_nonzero`` and so has the zero
-    polynomial: skipping it cannot change the product."""
+    polynomial: skipping it cannot change the product.  Hom vectors add
+    over direct sums, so the bounds are the Hom vectors of a + c."""
     ar = family.reference_quiver()
-    d = tuple(x + y for x, y in zip(ar.class_dim_vector(a), ar.class_dim_vector(c)))
-    (into_a, outof_a), (into_c, outof_c) = ar.hom_vectors(a), ar.hom_vectors(c)
-    bounds = ([x + y for x, y in zip(into_a, into_c)],
-              [x + y for x, y in zip(outof_a, outof_c)])
+    split = a + c
     terms = []
-    for b in enumerate_module_classes(ar, d, bounds):
+    for b in enumerate_module_classes(ar, family.class_dims(split),
+                                      ar.hom_vectors(split)):
         value = family.euler(a, c, b)
         if value:
             terms.append((b, value))

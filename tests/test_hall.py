@@ -1,16 +1,21 @@
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallie import hall, reps
 from hallie.errors import (ExtDimensionMismatch, FieldDependenceDetected,
-                           InconsistentCounts, NonIntegralOrbitCount,
+                           InconsistentCounts, NegativeMultiplicity,
+                           NonIntegralCoefficients, NonIntegralOrbitCount,
                            ResourceBound)
 from hallie.hall import (ARFamily, HallConfig, check_oracle_equivalence,
                          closed_subspace_tuples, first_primes, hall_number_grass,
                          hall_number_hom, hall_numbers_ext, hall_numbers_grass,
                          hall_numbers_hom, lagrange_interpolate)
 from hallie.knit import knit
+from hallie.linalg import scalar_orbits
 from hallie.liealg import hall_lie_table
 from hallie.reps import (ExtSpace, MultiplicityVector, Representation, direct_sum,
                          hom_blocks, hom_dim, identify, matches_class,
@@ -257,11 +262,44 @@ class TestFamilyQuivers:
                 fam.quiver(3)
 
 
+def _lagrange_fractions(nodes, values):
+    """Lagrange interpolation over ``Fraction``s, one basis polynomial at a
+    time: the reference for ``lagrange_interpolate``."""
+    coeffs = [Fraction(0)] * len(nodes)
+    for i, (xi, yi) in enumerate(zip(nodes, values)):
+        num, den = [Fraction(1)], Fraction(1)
+        for j, xj in enumerate(nodes):
+            if j != i:
+                num = [Fraction(0)] + num
+                for k in range(len(num) - 1):
+                    num[k] -= xj * num[k + 1]
+                den *= xi - xj
+        for k, c in enumerate(num):
+            coeffs[k] += Fraction(yi) / den * c
+    return coeffs
+
+
 class TestInterpolation:
     def test_lagrange_exact(self):
         # nodes (2,3,5), values of 2t^2 - t + 3
         coeffs = lagrange_interpolate([2, 3, 5], [9, 18, 48])
         assert coeffs == [3, -1, 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-40, 40), max_size=7, unique=True).flatmap(
+        lambda nodes: st.tuples(st.just(nodes), st.lists(
+            st.integers(-10**6, 10**6), min_size=len(nodes), max_size=len(nodes)))))
+    def test_lagrange_matches_fraction_reference(self, data):
+        """The integer route with one common denominator against the
+        Fraction route it replaced; random values mostly give non-integral
+        coefficients, which must come out the same."""
+        nodes, values = data
+        assert lagrange_interpolate(nodes, values) == _lagrange_fractions(nodes, values)
+
+    def test_lagrange_non_integral_coefficients(self):
+        """t ↦ [t = 5] on the nodes 2, 3, 5 is (t − 2)(t − 3)/6."""
+        assert lagrange_interpolate([2, 3, 5], [0, 0, 1]) == [
+            Fraction(1), Fraction(-5, 6), Fraction(1, 6)]
 
     def test_projective_line_polynomial(self, families):
         fam = families["a2"]
@@ -340,6 +378,17 @@ class TestBadPrimeProtocol:
         assert poly.primes == (3, 5)
         assert poly.validation_prime == 7
         assert poly.coefficients == (1, 1)
+
+    def test_non_integral_coefficients_raise(self, algebras):
+        """F = q² + q + 1 for S1 in S1³ with quotient S1² has degree bound
+        2, so it is interpolated on 2, 3, 5; one more at 5 adds
+        (t − 2)(t − 3)/6."""
+        fam = ARFamily(algebras["a2"])
+        self._corrupt(fam, {5: 1})
+        s1 = MultiplicityVector.unit("1-0")
+        with pytest.raises(NonIntegralCoefficients):
+            fam.polynomial(s1, MultiplicityVector({"1-0": 2}),
+                           MultiplicityVector({"1-0": 3}))
 
     def test_persistent_disagreement_fails(self, algebras):
         from hallie.errors import InconsistentCounts
@@ -542,3 +591,75 @@ class TestExtRoute:
         ar.class_aut_order = lambda mv: real(mv) + (mv == P1)
         with pytest.raises(NonIntegralOrbitCount):
             hall_numbers_ext(ar, S2, S1, ar.vertex("0-1").rep, ar.vertex("1-0").rep)
+
+
+def _ext_table_by_identify(ar, a, c, n1, n2):
+    """``hall_numbers_ext`` with every middle term identified by
+    ``ar.class_of`` (``identify`` on all knitted vertices): the reference
+    for the identification among the bracket-bounded classes."""
+    p = ar.field.p
+    ext = reps.ext_space(n2, n1)
+    cocycle = [0] * (len(ext.basis[0]) if ext.basis else 0)
+    deltas = [[(0, 0, j, v) for j, v in enumerate(z) if v] for z in ext.basis]
+    walked = {}
+    for k, weight in enumerate(scalar_orbits([[cocycle]], deltas, p)):
+        b = a + c if k == 0 else ar.class_of(reps.middle_term(n1, n2, cocycle))
+        walked[b] = walked.get(b, 0) + weight
+    hom_ca = sum(n * ar.hom_vectors(a)[0][ar.by_id[x].index] for x, n in c.items())
+    denominator = ar.class_aut_order(a) * ar.class_aut_order(c) * p ** hom_ca
+    return {b: k * ar.class_aut_order(b) // denominator for b, k in walked.items()}
+
+
+class TestBoundedMiddleTerms:
+    """Middle terms of Ext¹(c, a) identified on the distinguishing set of
+    the classes below the Hom vectors of a + c, against ``identify``."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("name", ["a2", "a3", "a3_bound", "csquare", "d4"])
+    def test_every_small_pair_matches_identify(self, algebras, monkeypatch, name, p):
+        """Every ordered pair (a, c) of classes of total dimension at most
+        3 together: each walked middle term gets the class ``class_of``
+        gives it, and the whole table is the reference's."""
+        ar = knit(algebras[name], p)
+        real = hall._middle_class
+        seen = []
+
+        def recorded(ar, split, m):
+            seen.append((m, real(ar, split, m)))
+            return seen[-1][1]
+        monkeypatch.setattr(hall, "_middle_class", recorded)
+        classes = [mv for d in itertools.product(range(4), repeat=len(ar.spec.vertices))
+                   if 0 < sum(d) <= 2 for mv in ar.module_classes(d)]
+        total = {mv: sum(ar.class_dim_vector(mv)) for mv in classes}
+        pairs = 0
+        for a, c in itertools.product(classes, repeat=2):
+            if total[a] + total[c] > 3:
+                continue
+            n1, n2 = ar.class_module(a), ar.class_module(c)
+            want = _ext_table_by_identify(ar, a, c, n1, n2)
+            assert hall_numbers_ext(ar, a, c, n1, n2) == want, (a.render(), c.render())
+            pairs += 1
+        assert pairs and seen
+        for m, b in seen:
+            assert b == ar.class_of(m)
+
+    def test_split_middle_term_of_nonzero_class_raises(self, algebras, monkeypatch):
+        """Ext¹(S1, S2) ≠ 0 over A2; a middle term built as S1 ⊕ S2 for the
+        nonzero class contradicts Miyata's theorem."""
+        monkeypatch.setattr(hall, "middle_term", lambda a, c, cocycle: reps.middle_term(
+            a, c, [0] * len(cocycle)))
+        ar = knit(algebras["a2"], 3)
+        with pytest.raises(ExtDimensionMismatch, match="split middle term"):
+            hall_numbers_ext(ar, S2, S1, ar.vertex("0-1").rep, ar.vertex("1-0").rep)
+
+    def test_middle_term_off_the_bounded_table_raises(self, algebras):
+        """On the commutative square, Ext¹(1-1-1-0, 0-0-0-1) has the middle
+        term 1-1-1-1, told from the other bounded class by dim Hom(0-1-1-1,
+        -) = 1.  With that Hom-matrix entry doctored to 0 the walked middle
+        term's vector matches no bounded class."""
+        ar = knit(algebras["csquare"], 2)
+        ar.hom_matrix()[ar.order.index("0-1-1-1")][ar.order.index("1-1-1-1")] = 0
+        sub, quot = ar.vertex("0-0-0-1"), ar.vertex("1-1-1-0")
+        a, c = MultiplicityVector.unit(sub.id), MultiplicityVector.unit(quot.id)
+        with pytest.raises(NegativeMultiplicity, match="matches no class"):
+            hall_numbers_ext(ar, a, c, sub.rep, quot.rep)

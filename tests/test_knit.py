@@ -3,6 +3,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallie.algebra import parse_algebra
 from hallie.errors import (FieldDependenceDetected, IsProjective,
@@ -10,7 +12,9 @@ from hallie.errors import (FieldDependenceDetected, IsProjective,
 from hallie.hall import closed_subspace_tuples
 from hallie.knit import (KnitConfig, ar_sequence, ar_to_doc,
                          check_field_independence, compare_quiver_shapes, knit)
-from hallie.liealg import enumerate_module_classes
+from hallie import liealg
+from hallie.hall import ARFamily
+from hallie.liealg import enumerate_module_classes, hall_lie_table
 from hallie.reps import (MultiplicityVector, aut_order, check_relations, hom_dim,
                          quotient_by_subtuple, restrict_to_subtuple)
 
@@ -214,6 +218,34 @@ class TestSerialization:
             assert stored["nu"] == [blocks(h) for h in mesh.nu]
 
 
+def _knapsack(ar, d):
+    """Every class of dimension vector d by the plain knapsack over all
+    knitted vertices in their order, count 0 first: the reference for
+    ``ARQuiver.module_classes``."""
+    out = []
+
+    def recurse(pos, remaining, acc):
+        if pos == len(ar.vertices):
+            if not any(remaining):
+                out.append(MultiplicityVector(acc))
+            return
+        v = ar.vertices[pos]
+        top = min((r // x for x, r in zip(v.rep.dims, remaining) if x), default=0)
+        for n in range(top + 1):
+            recurse(pos + 1, tuple(r - n * x for x, r in zip(v.rep.dims, remaining)),
+                    acc + [(v.id, n)])
+
+    recurse(0, tuple(d), [])
+    return out
+
+
+def _below(ar, d, bounds):
+    """The reference classes of d whose Hom vectors lie below ``bounds``."""
+    return [b for b in _knapsack(ar, d)
+            if all(h <= m for vec, bound in zip(ar.hom_vectors(b), bounds)
+                   for h, m in zip(vec, bound))]
+
+
 class TestQuiverMemos:
     def test_class_list_is_a_fresh_copy(self, algebras):
         ar = knit(algebras["a2"], 2)
@@ -271,6 +303,35 @@ class TestQuiverMemos:
                         if all(all(h <= m for h, m in zip(vec, bound))
                                for vec, bound in zip(ar.hom_vectors(b), bounds))]
                 assert list(ar.module_classes(d, bounds)) == want, (name, x.id, y.id)
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_VERTEX_COUNTS))
+    def test_hall_product_bounds_match_the_reference_knapsack(self, algebras,
+                                                               monkeypatch, name):
+        """Every (d, bounds) that ``hall_product`` forms while building the
+        Hall table, on a quiver over the same prime that has not seen
+        them: the bounded list is the reference's filtered list, in order,
+        and the unbounded list is the reference's."""
+        formed = []
+        real = liealg.enumerate_module_classes
+        monkeypatch.setattr(liealg, "enumerate_module_classes", lambda ar, d, bounds=None: (
+            formed.append((tuple(d), bounds)) or real(ar, d, bounds)))
+        family = ARFamily(algebras[name])
+        hall_lie_table(family)
+        ar = knit(algebras[name], family.reference_quiver().field.p)
+        assert formed or name == "point"
+        for d, bounds in formed:
+            assert list(ar.module_classes(d, bounds)) == _below(ar, d, bounds), (d, bounds)
+            assert list(ar.module_classes(d)) == _knapsack(ar, d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["a3", "a3_bound", "csquare", "d4"]), st.data())
+    def test_random_bounds_match_the_reference_knapsack(self, knits, name, data):
+        ar = knits[name]
+        n, width = len(ar.vertices), len(ar.spec.vertices)
+        d = data.draw(st.lists(st.integers(0, 2), min_size=width, max_size=width))
+        bounds = [data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+                  for _ in range(2)]
+        assert list(ar.module_classes(d, bounds)) == _below(ar, d, bounds)
 
     def test_shared_hom_vector_raises(self, algebras):
         """identify checks only the diagonal of the Hom matrix; a doctored

@@ -1,8 +1,6 @@
 """hallie: bound quiver algebras, AR-quiver knitting, Hall polynomials and
 the Lie structure constants they generate, over prime fields."""
 
-from importlib import resources
-
 from .algebra import AlgebraSpec, load_algebra, parse_algebra, projective_rep
 from .hall import (ARFamily, HallConfig, HallPolynomial,
                    check_oracle_equivalence, hall_number_grass, hall_number_hom,
@@ -24,6 +22,8 @@ __version__ = "0.1.0"
 
 def example_algebra_path(name: str) -> str:
     """Filesystem path of a shipped example algebra (e.g. ``"a2"``)."""
+    from importlib import resources
+
     candidate = resources.files("hallie").joinpath("data", f"{name}.json")
     if not candidate.is_file():
         raise FileNotFoundError(f"no shipped algebra named {name!r}")
@@ -31,6 +31,8 @@ def example_algebra_path(name: str) -> str:
 
 
 def example_algebra_names() -> list[str]:
+    from importlib import resources
+
     data = resources.files("hallie").joinpath("data")
     return sorted(entry.name[:-5] for entry in data.iterdir()
                   if entry.name.endswith(".json"))

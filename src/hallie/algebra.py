@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,14 +31,23 @@ from .errors import (CyclicQuiver, InadmissibleRelation, NonIntegralRewrite,
 from .linalg import FMatrix, PrimeField
 
 
-@dataclass(frozen=True)
 class Path:
     """A path in the quiver; ``arrows`` in composition order (leftmost applied
     last).  Trivial paths have no arrows and equal source and target."""
 
-    arrows: tuple[str, ...]
-    source: str
-    target: str
+    __slots__ = ("arrows", "source", "target")
+
+    def __init__(self, arrows: tuple[str, ...], source: str, target: str):
+        self.arrows = arrows
+        self.source = source
+        self.target = target
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Path) and (other.arrows, other.source, other.target)
+                == (self.arrows, self.source, self.target))
+
+    def __hash__(self) -> int:
+        return hash((self.arrows, self.source, self.target))
 
     def __len__(self) -> int:
         return len(self.arrows)
@@ -53,27 +61,53 @@ class Path:
         return "*".join(self.arrows)
 
 
-@dataclass(frozen=True)
 class Arrow:
-    id: str
-    source: str
-    target: str
+    __slots__ = ("id", "source", "target")
+
+    def __init__(self, id: str, source: str, target: str):
+        self.id = id
+        self.source = source
+        self.target = target
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Arrow) and (other.id, other.source, other.target)
+                == (self.id, self.source, self.target))
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.source, self.target))
 
 
-@dataclass(frozen=True)
 class Quiver:
-    vertices: tuple[str, ...]
-    arrows: tuple[Arrow, ...]
+    __slots__ = ("vertices", "arrows")
+
+    def __init__(self, vertices: tuple[str, ...], arrows: tuple[Arrow, ...]):
+        self.vertices = vertices
+        self.arrows = arrows
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Quiver)
+                and (other.vertices, other.arrows) == (self.vertices, self.arrows))
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.arrows))
 
 
-@dataclass(frozen=True)
 class Relation:
-    kind: str  # "zero" | "commutativity"
-    lhs: Path
-    rhs: Path | None = None
+    __slots__ = ("kind", "lhs", "rhs")
+
+    def __init__(self, kind: str, lhs: Path, rhs: Path | None = None):
+        self.kind = kind  # "zero" | "commutativity"
+        self.lhs = lhs
+        self.rhs = rhs
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Relation) and (other.kind, other.lhs, other.rhs)
+                == (self.kind, self.lhs, self.rhs))
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.lhs, self.rhs))
 
 
-@dataclass(frozen=True)
 class AlgebraSpec:
     """A validated bound quiver algebra with its computed path basis.
 
@@ -82,12 +116,29 @@ class AlgebraSpec:
     (an empty list means the path is zero in the algebra).
     """
 
-    quiver: Quiver
-    relations: tuple[Relation, ...]
-    path_basis: tuple[Path, ...]
-    nilpotency_bound: int
-    rewrites: dict[Path, tuple[tuple[int, Path], ...]] = field(repr=False)
-    topo_order: tuple[str, ...] = field(repr=False)
+    __slots__ = ("quiver", "relations", "path_basis", "nilpotency_bound",
+                 "rewrites", "topo_order")
+
+    def __init__(self, quiver: Quiver, relations: tuple[Relation, ...],
+                 path_basis: tuple[Path, ...], nilpotency_bound: int,
+                 rewrites: dict[Path, tuple[tuple[int, Path], ...]],
+                 topo_order: tuple[str, ...]):
+        self.quiver = quiver
+        self.relations = relations
+        self.path_basis = path_basis
+        self.nilpotency_bound = nilpotency_bound
+        self.rewrites = rewrites
+        self.topo_order = topo_order
+
+    def _fields(self) -> tuple:
+        return (self.quiver, self.relations, self.path_basis,
+                self.nilpotency_bound, self.rewrites, self.topo_order)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, AlgebraSpec) and other._fields() == self._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     @property
     def vertices(self) -> tuple[str, ...]:

@@ -40,7 +40,11 @@ counting routes are provided, and each answers a whole row at once:
 it up in its row.  The routes ask the knitted ``ARQuiver`` for what it
 memoizes: the classes of each dimension vector, the class of each module
 they identify, the Hom bases of each ambient module and the distinguishing
-set of each dimension vector.
+set of each dimension vector.  The quivers an ``ARFamily`` knits over
+several primes share one memo of the classes, Hom vectors and
+distinguishing sets, which depend only on the knitted order and the Hom
+matrix (``ARQuiver.share_memos`` checks that both agree); the memos of
+modules, Hom bases, |Aut| and Hall numbers stay with each prime's quiver.
 
 Interpolation: counts are taken at the first D+2 primes not on the excluded
 list, where D is the degree bound min(Σ e(d−e), hom(a,b) − end(a),
@@ -60,15 +64,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .algebra import AlgebraSpec
-from .errors import (ExtDimensionMismatch, FieldDependenceDetected,
-                     InconsistentCounts, NegativeMultiplicity,
-                     NonIntegralCoefficients, NonIntegralOrbitCount,
-                     NonUnitriangularHomMatrix, ResourceBound)
+from .errors import (ExtDimensionMismatch, InconsistentCounts,
+                     NegativeMultiplicity, NonIntegralCoefficients,
+                     NonIntegralOrbitCount, NonUnitriangularHomMatrix,
+                     ResourceBound)
 from .knit import ARQuiver, HomFrame, KnitConfig, knit
 from .linalg import (FMatrix, gaussian_binomial, injective_images,
                      intersect_subspaces, is_prime, preimage_subspace, row_space,
@@ -77,11 +80,22 @@ from .reps import (MultiplicityVector, Representation, SubspaceTuple, aut_order,
                    ext_space, hom_blocks, hom_dim, middle_term)
 
 
-@dataclass(frozen=True)
 class HallConfig:
-    excluded_primes: tuple[int, ...] = ()
-    seed: int = 0
-    max_vertices: int = 512
+    __slots__ = ("excluded_primes", "seed", "max_vertices")
+
+    def __init__(self, excluded_primes: tuple[int, ...] = (), seed: int = 0,
+                 max_vertices: int = 512):
+        self.excluded_primes = excluded_primes
+        self.seed = seed
+        self.max_vertices = max_vertices
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, HallConfig)
+                and (other.excluded_primes, other.seed, other.max_vertices)
+                == (self.excluded_primes, self.seed, self.max_vertices))
+
+    def __hash__(self) -> int:
+        return hash((self.excluded_primes, self.seed, self.max_vertices))
 
 
 def primes_from(start_after: int = 1) -> Iterator[int]:
@@ -467,21 +481,40 @@ def ext_hall_number(ar: ARQuiver, a: MultiplicityVector, c: MultiplicityVector,
 # Hall polynomials
 
 
-@dataclass(frozen=True)
 class HallPolynomial:
     """Integer polynomial reproducing the counts F at every prime, with the
     evidence that produced it."""
 
-    coefficients: tuple[int, ...]  # constant term first
-    sub_class: MultiplicityVector
-    quot_class: MultiplicityVector
-    total_class: MultiplicityVector
-    degree_bound: int
-    primes: tuple[int, ...]
-    counts: tuple[int, ...]
-    validation_prime: int | None
-    validation_count: int | None
-    excluded_primes: tuple[int, ...] = ()
+    __slots__ = ("coefficients", "sub_class", "quot_class", "total_class",
+                 "degree_bound", "primes", "counts", "validation_prime",
+                 "validation_count", "excluded_primes")
+
+    def __init__(self, coefficients: tuple[int, ...], sub_class: MultiplicityVector,
+                 quot_class: MultiplicityVector, total_class: MultiplicityVector,
+                 degree_bound: int, primes: tuple[int, ...], counts: tuple[int, ...],
+                 validation_prime: int | None, validation_count: int | None,
+                 excluded_primes: tuple[int, ...] = ()):
+        self.coefficients = coefficients  # constant term first
+        self.sub_class = sub_class
+        self.quot_class = quot_class
+        self.total_class = total_class
+        self.degree_bound = degree_bound
+        self.primes = primes
+        self.counts = counts
+        self.validation_prime = validation_prime
+        self.validation_count = validation_count
+        self.excluded_primes = excluded_primes
+
+    def _fields(self) -> tuple:
+        return (self.coefficients, self.sub_class, self.quot_class,
+                self.total_class, self.degree_bound, self.primes, self.counts,
+                self.validation_prime, self.validation_count, self.excluded_primes)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, HallPolynomial) and other._fields() == self._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def evaluate(self, t: int) -> int:
         acc = 0
@@ -552,22 +585,22 @@ class ARFamily:
         self._quivers: dict[int, ARQuiver] = {}
         self._polynomials: dict[tuple, HallPolynomial] = {}
         self._dims: dict[MultiplicityVector, tuple[int, ...]] = {}
-        self._reference_ids: frozenset[str] | None = None
 
     # -- knitting ----------------------------------------------------------
 
     def quiver(self, p: int) -> ARQuiver:
+        """The quiver over F_p, knitted once.  Every quiver after the first
+        shares the first one's class lists, Hom vectors and distinguishing
+        sets (``ARQuiver.share_memos``, which raises
+        ``FieldDependenceDetected`` when the knitted orders or Hom matrices
+        differ); a quiver that fails that check is not kept."""
         ar = self._quivers.get(p)
         if ar is not None:
             return ar
         ar = knit(self.spec, p, KnitConfig(max_vertices=self.config.max_vertices,
                                            seed=self.config.seed))
-        ids = frozenset(v.id for v in ar.vertices)
-        if self._reference_ids is None:
-            self._reference_ids = ids
-        elif ids != self._reference_ids:
-            raise FieldDependenceDetected(
-                f"vertex ids over F_{p} differ from the reference knit")
+        if self._quivers:
+            ar.share_memos(next(iter(self._quivers.values())))
         self._quivers[p] = ar
         return ar
 
@@ -713,12 +746,15 @@ def _possibly_nonzero(hom_a, hom_c, hom_b) -> bool:
     return True
 
 
-@dataclass
 class OracleEquivalenceReport:
-    compared: int
-    nonzero: int
-    skipped: int          # triples outside the hom-oracle resource bounds
-    mismatches: list[tuple]
+    __slots__ = ("compared", "nonzero", "skipped", "mismatches")
+
+    def __init__(self, compared: int, nonzero: int, skipped: int,
+                 mismatches: list[tuple]):
+        self.compared = compared
+        self.nonzero = nonzero
+        self.skipped = skipped  # triples outside the hom-oracle resource bounds
+        self.mismatches = mismatches
 
     @property
     def ok(self) -> bool:

@@ -20,7 +20,6 @@ path basis.  Vertex ids are the dimension vectors rendered as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -35,42 +34,63 @@ from .reps import (MultiplicityVector, Representation, SubspaceTuple,
                    restrict_to_subtuple, sub_quotient, summand_inclusions)
 
 
-@dataclass(frozen=True)
 class KnitConfig:
-    max_vertices: int = 512
-    seed: int = 0
+    __slots__ = ("max_vertices", "seed")
+
+    def __init__(self, max_vertices: int = 512, seed: int = 0):
+        self.max_vertices = max_vertices
+        self.seed = seed
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, KnitConfig)
+                and (other.max_vertices, other.seed) == (self.max_vertices, self.seed))
+
+    def __hash__(self) -> int:
+        return hash((self.max_vertices, self.seed))
 
 
-@dataclass
 class ARVertex:
-    id: str
-    index: int
-    rep: Representation
-    projective: bool
+    __slots__ = ("id", "index", "rep", "projective")
+
+    def __init__(self, id: str, index: int, rep: Representation, projective: bool):
+        self.id = id
+        self.index = index
+        self.rep = rep
+        self.projective = projective
 
 
-@dataclass
 class ARArrow:
-    source: str
-    target: str
-    maps: dict[str, FMatrix]  # vertex id -> block of the irreducible map
+    __slots__ = ("source", "target", "maps")
+
+    def __init__(self, source: str, target: str, maps: dict[str, FMatrix]):
+        self.source = source
+        self.target = target
+        self.maps = maps  # vertex id -> block of the irreducible map
 
 
-@dataclass
 class Mesh:
-    target: str
-    translate: str
-    middles: tuple[str, ...]
-    eta: tuple[dict[str, FMatrix], ...]
-    nu: tuple[dict[str, FMatrix], ...]
+    __slots__ = ("target", "translate", "middles", "eta", "nu")
+
+    def __init__(self, target: str, translate: str, middles: tuple[str, ...],
+                 eta: tuple[dict[str, FMatrix], ...],
+                 nu: tuple[dict[str, FMatrix], ...]):
+        self.target = target
+        self.translate = translate
+        self.middles = middles
+        self.eta = eta
+        self.nu = nu
 
 
-@dataclass
 class ARSequence:
-    translate: ARVertex
-    middles: tuple[ARVertex, ...]
-    eta: tuple[dict[str, FMatrix], ...]
-    nu: tuple[dict[str, FMatrix], ...]
+    __slots__ = ("translate", "middles", "eta", "nu")
+
+    def __init__(self, translate: ARVertex, middles: tuple[ARVertex, ...],
+                 eta: tuple[dict[str, FMatrix], ...],
+                 nu: tuple[dict[str, FMatrix], ...]):
+        self.translate = translate
+        self.middles = middles
+        self.eta = eta
+        self.nu = nu
 
 
 class ARQuiver:
@@ -86,8 +106,12 @@ class ARQuiver:
     coordinates of each dimension vector and bounds
     (``distinguishing_set``) and, in ``ext_tables``, the Hall numbers of
     each pair (a, c) from one walk of Ext¹(c, a) (``hall.ext_hall_number``).
-    The memos belong to this quiver, so quivers over different primes never
-    share them.
+    The class lists, Hom vectors and distinguishing sets do not depend on
+    the prime once the knitted order and the Hom matrix agree, and the
+    quivers of one ``hall.ARFamily`` share them (``share_memos``, which
+    holds the check and the proof sketch).  The other memos hold modules,
+    Hom bases, |Aut| and Hall numbers over this quiver's field and stay
+    with it.
     """
 
     def __init__(self, spec: AlgebraSpec, field: PrimeField,
@@ -113,6 +137,36 @@ class ARQuiver:
         self._modules: dict[MultiplicityVector, Representation] = {}
         self.ext_tables: dict[tuple[MultiplicityVector, MultiplicityVector],
                               dict[MultiplicityVector, int]] = {}
+
+    def share_memos(self, first: "ARQuiver") -> None:
+        """Read and fill the memos of ``module_classes``, ``hom_vectors`` and
+        ``distinguishing_set`` of ``first``, the quiver of the same algebra
+        knitted first over another prime, instead of this quiver's own.
+
+        Why they may be shared.  Each is a function of the knitted order,
+        the dimension vectors of the knitted vertices and the Hom matrix
+        alone: the knapsack of ``module_classes`` runs over the vertices in
+        the knitted order with their dimension vectors and prunes on
+        columns and rows of the Hom matrix; ``hom_vectors`` sums rows and
+        columns of the Hom matrix at the knitted indices of a class's
+        summands; ``distinguishing_set`` groups the ``hom_vectors`` of a
+        ``module_classes`` list; and the classes they return are named by
+        vertex ids, not modules.  Vertex ids render the dimension vectors,
+        so equal knitted orders carry equal dimension vectors.  Both
+        quivers' Hom matrices are already computed (``knit`` checks their
+        unitriangularity), so the check costs one comparison: if the
+        orders or the Hom matrices differ, ``FieldDependenceDetected`` is
+        raised and nothing is shared.
+        """
+        if self.order != first.order:
+            raise FieldDependenceDetected(
+                f"knitted order over F_{self.field.p} differs from F_{first.field.p}")
+        if self.hom_matrix() != first.hom_matrix():
+            raise FieldDependenceDetected(
+                f"Hom matrix over F_{self.field.p} differs from F_{first.field.p}")
+        self._classes = first._classes
+        self._hom_vectors = first._hom_vectors
+        self._distinguishing = first._distinguishing
 
     def vertex(self, vertex_id: str) -> ARVertex:
         return self.by_id[vertex_id]
@@ -659,10 +713,12 @@ def quiver_shape(ar: ARQuiver) -> dict:
     }
 
 
-@dataclass
 class FieldIndependenceReport:
-    primes: tuple[int, ...]
-    vertex_count: int
+    __slots__ = ("primes", "vertex_count")
+
+    def __init__(self, primes: tuple[int, ...], vertex_count: int):
+        self.primes = primes
+        self.vertex_count = vertex_count
 
 
 def compare_quiver_shapes(quivers: Mapping[int, ARQuiver]) -> FieldIndependenceReport:

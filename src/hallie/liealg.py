@@ -23,7 +23,6 @@ algebra is hereditary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import NotClosedOnIndecomposables, NotFiniteType
@@ -115,17 +114,30 @@ def graded_multiply(family: ARFamily, left: GradedVector,
     return out
 
 
-@dataclass(frozen=True)
 class LieTable:
     """Structure constants on the indecomposable basis.
 
     Only pairs i < j in the knitted order are stored; each entry is either
     None (vanishing bracket) or (target id, coefficient)."""
 
-    basis: tuple[str, ...]
-    dims: dict[str, tuple[int, ...]]
-    totals: dict[str, int]
-    entries: dict[tuple[str, str], tuple[str, int] | None]
+    __slots__ = ("basis", "dims", "totals", "entries")
+
+    def __init__(self, basis: tuple[str, ...], dims: dict[str, tuple[int, ...]],
+                 totals: dict[str, int],
+                 entries: dict[tuple[str, str], tuple[str, int] | None]):
+        self.basis = basis
+        self.dims = dims
+        self.totals = totals
+        self.entries = entries
+
+    def _fields(self) -> tuple:
+        return (self.basis, self.dims, self.totals, self.entries)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, LieTable) and other._fields() == self._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def bracket(self, x: str, y: str) -> tuple[str, int] | None:
         if x == y:
@@ -188,7 +200,7 @@ def euler_lie_table(kt: LieTable) -> LieTable:
     Both products sum phi(sub, quot, x)(1) over the classes x with the
     roles of the factors swapped, v_m . v_n = u_n . u_m, so every
     commutator changes sign: [m, n]_E = -[m, n]_H."""
-    return replace(kt, entries={
+    return LieTable(kt.basis, kt.dims, kt.totals, {
         pair: None if entry is None else (entry[0], -entry[1])
         for pair, entry in kt.entries.items()})
 
@@ -253,10 +265,20 @@ def jacobi_check(t: LieTable) -> Report:
 # Root systems
 
 
-@dataclass(frozen=True)
 class RootSystem:
-    cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[tuple[int, ...], ...]
+    __slots__ = ("cartan", "positive_roots")
+
+    def __init__(self, cartan: tuple[tuple[int, ...], ...],
+                 positive_roots: tuple[tuple[int, ...], ...]):
+        self.cartan = cartan
+        self.positive_roots = positive_roots
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, RootSystem) and (other.cartan, other.positive_roots)
+                == (self.cartan, self.positive_roots))
+
+    def __hash__(self) -> int:
+        return hash((self.cartan, self.positive_roots))
 
 
 def positive_roots(cartan: Sequence[Sequence[int]], cap: int = 10_000) -> RootSystem:

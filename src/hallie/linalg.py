@@ -9,7 +9,6 @@ from __future__ import annotations
 import bisect
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import ResourceBound
@@ -196,11 +195,20 @@ def hstack(field: PrimeField, blocks: Sequence[FMatrix], nrows: int) -> FMatrix:
     return FMatrix(field, nrows, ncols, rows)
 
 
-@dataclass(frozen=True)
 class RREF:
-    matrix: FMatrix
-    rank: int
-    pivots: tuple[int, ...]
+    __slots__ = ("matrix", "rank", "pivots")
+
+    def __init__(self, matrix: FMatrix, rank: int, pivots: tuple[int, ...]):
+        self.matrix = matrix
+        self.rank = rank
+        self.pivots = pivots
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, RREF) and (other.matrix, other.rank, other.pivots)
+                == (self.matrix, self.rank, self.pivots))
+
+    def __hash__(self) -> int:
+        return hash((self.matrix, self.rank, self.pivots))
 
 
 def echelon(rows: list[list[int]], p: int, inv: Sequence[int]) -> list[int]:

@@ -2,19 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, CheckResult) and (other.name, other.ok, other.detail)
+                == (self.name, self.ok, self.detail))
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.ok, self.detail))
 
 
-@dataclass
 class Report:
-    checks: list[CheckResult] = field(default_factory=list)
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[CheckResult] | None = None):
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self) -> bool:

@@ -8,7 +8,6 @@ values are immutable; operations are pure functions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import (DecompositionBudgetExceeded, NegativeMultiplicity,
@@ -240,7 +239,6 @@ def _unflatten_hom(m: Representation, n: Representation,
 # Extensions
 
 
-@dataclass(frozen=True)
 class ExtSpace:
     """Ext¹(c, a) as cocycles modulo coboundaries.
 
@@ -251,8 +249,18 @@ class ExtSpace:
     ``hom_dim`` is dim ker δ = dim Hom(c, a).
     """
 
-    basis: tuple[tuple[int, ...], ...]
-    hom_dim: int
+    __slots__ = ("basis", "hom_dim")
+
+    def __init__(self, basis: tuple[tuple[int, ...], ...], hom_dim: int):
+        self.basis = basis
+        self.hom_dim = hom_dim
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, ExtSpace)
+                and (other.basis, other.hom_dim) == (self.basis, self.hom_dim))
+
+    def __hash__(self) -> int:
+        return hash((self.basis, self.hom_dim))
 
     @property
     def dim(self) -> int:
@@ -459,21 +467,28 @@ def _rref_pivots(basis: FMatrix) -> list[int]:
     return pivots
 
 
-@dataclass(frozen=True)
 class SubspaceTuple:
     """Per-vertex subspace bases inside a target representation.
 
     Bases must be canonical reduced-echelon matrices.
     """
 
-    target: Representation
-    bases: tuple[FMatrix, ...]  # indexed like spec.vertices; e_x rows, d_x cols
+    __slots__ = ("target", "bases")
 
-    def __post_init__(self):
-        for i, b in enumerate(self.bases):
-            if b.ncols != self.target.dims[i] or b.nrows > self.target.dims[i]:
+    def __init__(self, target: Representation, bases: tuple[FMatrix, ...]):
+        for i, b in enumerate(bases):
+            if b.ncols != target.dims[i] or b.nrows > target.dims[i]:
                 raise ValueError("subspace basis shape mismatch")
             _rref_pivots(b)
+        self.target = target
+        self.bases = bases  # indexed like spec.vertices; e_x rows, d_x cols
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, SubspaceTuple)
+                and (other.target, other.bases) == (self.target, self.bases))
+
+    def __hash__(self) -> int:
+        return hash((self.target, self.bases))
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -483,12 +498,24 @@ class SubspaceTuple:
         return tuple(b.rows for b in self.bases)
 
 
-@dataclass(frozen=True)
 class SubQuot:
-    sub: Representation
-    quot: Representation
-    inclusion: dict[str, FMatrix]   # sub coords -> ambient coords (d x e)
-    projection: dict[str, FMatrix]  # ambient coords -> quotient coords ((d-e) x d)
+    __slots__ = ("sub", "quot", "inclusion", "projection")
+
+    def __init__(self, sub: Representation, quot: Representation,
+                 inclusion: dict[str, FMatrix], projection: dict[str, FMatrix]):
+        self.sub = sub
+        self.quot = quot
+        self.inclusion = inclusion    # sub coords -> ambient coords (d x e)
+        self.projection = projection  # ambient coords -> quotient coords ((d-e) x d)
+
+    def _fields(self) -> tuple:
+        return (self.sub, self.quot, self.inclusion, self.projection)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SubQuot) and other._fields() == self._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 def restrict_to_subtuple(m: Representation, u: SubspaceTuple):

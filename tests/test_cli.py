@@ -1,6 +1,9 @@
 import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -226,3 +229,19 @@ class TestErrorPaths:
                               "--triple", "0-1/1-0/1-1", "--primes", "auto")
         assert code == 0
         assert json.loads(out)["phi"] == [1]
+
+
+def test_cli_import_skips_code_generation_and_resources():
+    """``import hallie.cli``, which every CLI process pays for, loads neither
+    ``dataclasses`` (and the ``inspect`` it pulls in), whose decorators
+    generate and compile methods at import, nor ``importlib.resources``,
+    which only the shipped-example helpers use.  ``-S`` keeps ``site`` from
+    loading any of them first."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hallie.__file__)))
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import hallie.cli; "
+             "print(sorted(m for m in ('dataclasses', 'inspect', "
+             "'importlib.resources') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-S", "-c", probe],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

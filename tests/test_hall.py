@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hallie import hall, reps
+from hallie.algebra import parse_algebra
 from hallie.errors import (ExtDimensionMismatch, FieldDependenceDetected,
                            InconsistentCounts, NegativeMultiplicity,
                            NonIntegralCoefficients, NonIntegralOrbitCount,
@@ -14,7 +15,7 @@ from hallie.hall import (ARFamily, HallConfig, check_oracle_equivalence,
                          closed_subspace_tuples, first_primes, hall_number_grass,
                          hall_number_hom, hall_numbers_ext, hall_numbers_grass,
                          hall_numbers_hom, lagrange_interpolate)
-from hallie.knit import knit
+from hallie.knit import ARQuiver, ARVertex, knit
 from hallie.linalg import scalar_orbits
 from hallie.liealg import hall_lie_table
 from hallie.reps import (ExtSpace, MultiplicityVector, Representation, direct_sum,
@@ -24,6 +25,14 @@ from hallie.reps import (ExtSpace, MultiplicityVector, Representation, direct_su
 
 
 S1, S2, P1 = (MultiplicityVector.unit(vid) for vid in ("1-0", "0-1", "1-1"))
+
+# D4 with the arrows 2 -> 1, 3 -> 2 and 4 -> 2 (every edge of 1-2, 2-3, 2-4
+# reversed): 12 indecomposables, one of dimension vector 1-2-1-1.
+D4_111 = """{"vertices": ["1", "2", "3", "4"],
+ "arrows": [{"id": "a1", "from": "2", "to": "1"},
+            {"id": "a2", "from": "3", "to": "2"},
+            {"id": "a3", "from": "4", "to": "2"}],
+ "relations": []}"""
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +269,69 @@ class TestFamilyQuivers:
         for _ in range(2):
             with pytest.raises(FieldDependenceDetected):
                 fam.quiver(3)
+
+    @pytest.mark.parametrize("name", ["a2", "a3", "a3_bound", "a3_sink", "csquare",
+                                      "d4", "point", "D4_111"])
+    def test_shared_memos_match_fresh_knits(self, algebras, name):
+        """Every class list, Hom vector pair and distinguishing set the
+        quivers of one family share, filled by a Lie table over primes 2, 3
+        and 5, is what a quiver knitted afresh at p = 2, 3, 5 or 7 computes
+        itself."""
+        spec = algebras[name] if name in algebras else parse_algebra(D4_111)
+        fam = ARFamily(spec)
+        hall_lie_table(fam)
+        first = fam.quiver(2)
+        assert first._distinguishing or name == "point"  # one vertex, no pairs
+        for p in (2, 3, 5, 7):
+            shared = fam.quiver(p)
+            assert shared._classes is first._classes
+            assert shared._hom_vectors is first._hom_vectors
+            assert shared._distinguishing is first._distinguishing
+            fresh = knit(spec, p)
+            for (d, bounds), classes in first._classes.items():
+                assert fresh.module_classes(d, bounds) == classes, (p, d, bounds)
+            for mv, vectors in first._hom_vectors.items():
+                assert fresh.hom_vectors(mv) == vectors, (p, mv)
+            for (d, outof, bounds), found in first._distinguishing.items():
+                assert fresh.distinguishing_set(d, outof, bounds) == found, (p, d)
+
+    def test_quiver_with_another_order_or_hom_matrix_is_rejected(
+            self, algebras, monkeypatch):
+        """Memos are shared only after the knitted order and the Hom matrix
+        are checked against the first quiver.  At p = 3 one Hom-matrix entry
+        is changed; at p = 5 the knitted order is permuted by the symmetry
+        of d4 that swaps the legs 1 and 2, which keeps the Hom matrix, so
+        only the order tells it apart.  Both are rejected on every call,
+        and a quiver that agrees is still served."""
+        spec = algebras["d4"]
+        fam = ARFamily(spec)
+        fam.quiver(2)
+        real = hall.knit
+
+        def doctored(spec, p, config):
+            ar = real(spec, p, config)
+            if p == 3:
+                ar.hom_matrix()[0][-1] += 1
+            elif p == 5:
+                def swapped(vid):
+                    d = vid.split("-")
+                    return "-".join([d[1], d[0]] + d[2:])
+
+                permuted = [ar.vertex(swapped(vid)) for vid in ar.order]
+                ar = ARQuiver(spec, ar.field,
+                              [ARVertex(v.id, i, v.rep, v.projective)
+                               for i, v in enumerate(permuted)],
+                              ar.arrows, ar.tau, ar.meshes)
+                assert ar.order != fam.quiver(2).order
+                assert ar.hom_matrix() == fam.quiver(2).hom_matrix()
+            return ar
+
+        monkeypatch.setattr(hall, "knit", doctored)
+        for p in (3, 5):
+            for _ in range(2):
+                with pytest.raises(FieldDependenceDetected):
+                    fam.quiver(p)
+        assert fam.quiver(7)._classes is fam.quiver(2)._classes
 
 
 def _lagrange_fractions(nodes, values):

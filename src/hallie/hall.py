@@ -17,13 +17,15 @@ counting routes are provided, and each answers a whole row at once:
   form the radical, and End/rad is a product of matrix algebras M_n(F_q)).
   ``ARFamily`` counts with it (``ext_hall_number``, one walk per pair
   memoized on the quiver); the proof sketches are in its docstring.
-* ``hall_numbers_grass`` enumerates the arrow-stable subspace tuples of
-  one shape e in m once (in quiver-topological vertex order, so closure
-  constraints prune the enumeration) and answers every pair (a, c) of sub
-  and quotient classes at once.  It classifies each sub by its
-  into-vector and each quotient by its out-of vector, read off the Hom
-  bases of m (``ARQuiver.hom_frame``) on the distinguishing set of the
-  dimension vector only (``ARQuiver.distinguishing_set``).  It is the
+* ``hall_numbers_grass`` walks the arrow-stable subspace tuples of every
+  shape of m once (in quiver-topological vertex order, so closure
+  constraints prune the walk, each candidate built as its reduced echelon
+  basis by ``linalg.subspaces_between``) and answers every pair (a, c) of
+  sub and quotient classes of every shape, memoized on the quiver per
+  ambient module (``ARQuiver.grass_rows``).  It classifies each sub by
+  its into-vector and each quotient by its out-of vector, read off the
+  Hom bases of m (``ARQuiver.hom_frame``) on the distinguishing set of
+  the dimension vector only (``ARQuiver.distinguishing_set``).  It is the
   reference route of ``check_oracle_equivalence``.
 * ``hall_numbers_hom`` enumerates the injective homomorphisms n1 -> m once
   with ``linalg.injective_images`` and answers every quotient class c at
@@ -31,10 +33,11 @@ counting routes are provided, and each answers a whole row at once:
   one reduced echelon basis of an n_i-dimensional subspace of Hom(X_i, m)
   per distinct summand, weighted by the orbit size, walked one row at a
   time against an incremental echelon so that a row falling in the span
-  of the rows above it cuts off the subtree.  Each distinct image is
-  classified once, by the out-of vector of its cokernel on every knitted
-  vertex, and must be reached by exactly |Aut(n1)| maps.  It is the independent oracle of
-  ``check_oracle_equivalence``, which compares all three routes.
+  of the rows above it cuts off the subtree; m's ``HomFrame`` keeps the
+  walk of each summand X_i^{n_i}.  Each distinct image is classified
+  once, by the out-of vector of its cokernel on every knitted vertex, and
+  must be reached by exactly |Aut(n1)| maps.  It is the independent oracle
+  of ``check_oracle_equivalence``, which compares all three routes.
 
 ``hall_number_grass`` and ``hall_number_hom`` answer one triple by looking
 it up in its row.  The routes ask the knitted ``ARQuiver`` for what it
@@ -72,10 +75,10 @@ from .errors import (ExtDimensionMismatch, InconsistentCounts,
                      NegativeMultiplicity, NonIntegralCoefficients,
                      NonIntegralOrbitCount, NonUnitriangularHomMatrix,
                      ResourceBound)
-from .knit import ARQuiver, HomFrame, KnitConfig, knit
+from .knit import ARQuiver, KnitConfig, knit
 from .linalg import (FMatrix, gaussian_binomial, injective_images,
                      intersect_subspaces, is_prime, preimage_subspace, row_space,
-                     scalar_orbits, subspaces_between)
+                     scalar_orbits, subspaces_between, tallied_images)
 from .reps import (MultiplicityVector, Representation, SubspaceTuple, aut_order,
                    ext_space, hom_blocks, hom_dim, middle_term)
 
@@ -122,30 +125,33 @@ def _first_primes(count: int, excluded: tuple[int, ...]) -> tuple[int, ...]:
 # Counting
 
 
-def closed_subspace_tuples(m: Representation, e: Sequence[int],
+def closed_subspace_tuples(m: Representation, e: Sequence[int] | None = None,
                            cap: int = 10_000_000) -> Iterator[SubspaceTuple]:
-    """All arrow-stable subspace tuples of shape e inside m, exactly once.
+    """All arrow-stable subspace tuples of shape e inside m, or of every
+    shape when e is None, exactly once.
 
     Vertices are filled one at a time; the subspace at a vertex is pinched
     between the span of the images along arrows from already-chosen sources
     (a lower bound) and the intersection of preimages along arrows into
     already-chosen targets (an upper bound), so every emitted tuple is
-    stable by construction and dead branches are pruned early.  The fill
-    order is the quiver-topological order or its reverse, whichever leaves
-    fewer unconstrained choices.
+    stable by construction and dead branches are pruned early; with e None
+    a vertex takes every dimension between its bounds.  The fill order
+    (topological or its reverse, whichever leaves fewer unconstrained
+    choices) changes only the speed.  ``cap`` bounds the tuples yielded.
     """
     spec, field = m.spec, m.field
     verts = spec.vertices
     index = {v: i for i, v in enumerate(verts)}
-    if len(e) != len(verts) or any(x < 0 for x in e):
-        raise ValueError("bad shape vector")
-    if any(e[i] > m.dims[i] for i in range(len(verts))):
-        return
+    if e is not None:
+        if len(e) != len(verts) or any(x < 0 for x in e):
+            raise ValueError("bad shape vector")
+        if any(e[i] > m.dims[i] for i in range(len(verts))):
+            return
     order = _fill_order(m, e)
     produced = 0
     chosen: dict[str, FMatrix] = {}
 
-    def bounds(v: str) -> tuple[FMatrix, FMatrix] | None:
+    def bounds(v: str, want: int | None) -> tuple[FMatrix, FMatrix] | None:
         d = m.dims[index[v]]
         lower_rows = []
         for a in spec.arrows_into(v):
@@ -154,14 +160,14 @@ def closed_subspace_tuples(m: Representation, e: Sequence[int],
                 lower_rows.extend(mat.apply(row) for row in chosen[a.source].rows)
         lower = (row_space(FMatrix.from_rows(field, lower_rows, ncols=d))
                  if lower_rows else FMatrix.zeros(field, 0, d))
-        if lower.nrows > e[index[v]]:
+        if lower.nrows > (d if want is None else want):
             return None
         upper = FMatrix.identity(field, d)
         for a in spec.arrows_from(v):
             if a.target in chosen:
                 upper = intersect_subspaces(
                     upper, preimage_subspace(m.maps[a.id], chosen[a.target]))
-                if upper.nrows < e[index[v]]:
+                if upper.nrows < (want or 0):
                     return None
         return lower, upper
 
@@ -175,11 +181,12 @@ def closed_subspace_tuples(m: Representation, e: Sequence[int],
             yield SubspaceTuple(m, tuple(chosen[v] for v in verts))
             return
         v = order[pos]
-        pinch = bounds(v)
+        want = None if e is None else e[index[v]]
+        pinch = bounds(v, want)
         if pinch is None:
             return
         lower, upper = pinch
-        for candidate in subspaces_between(lower, upper, e[index[v]], cap=cap):
+        for candidate in subspaces_between(lower, upper, want, cap=cap):
             chosen[v] = candidate
             yield from recurse(pos + 1)
         chosen.pop(v, None)
@@ -187,9 +194,10 @@ def closed_subspace_tuples(m: Representation, e: Sequence[int],
     yield from recurse(0)
 
 
-def _fill_order(m: Representation, e: Sequence[int]) -> tuple[str, ...]:
+def _fill_order(m: Representation, e: Sequence[int] | None) -> tuple[str, ...]:
     """Topological or reverse-topological fill order, whichever has the
-    smaller product of unconstrained per-vertex subspace counts."""
+    smaller product of unconstrained per-vertex subspace counts (of every
+    dimension when e is None)."""
     spec = m.spec
     index = {v: i for i, v in enumerate(spec.vertices)}
     p = m.field.p
@@ -201,7 +209,9 @@ def _fill_order(m: Representation, e: Sequence[int]) -> tuple[str, ...]:
             constrained = (any(a.source in seen for a in spec.arrows_into(v))
                            or any(a.target in seen for a in spec.arrows_from(v)))
             if not constrained:
-                total *= gaussian_binomial(m.dims[index[v]], e[index[v]], p)
+                d = m.dims[index[v]]
+                total *= sum(gaussian_binomial(d, k, p) for k in
+                             (range(d + 1) if e is None else (e[index[v]],)))
             seen.add(v)
         return total
 
@@ -224,7 +234,9 @@ def hall_numbers_grass(ar: ARQuiver, m: Representation, e: Sequence[int],
                        ) -> dict[tuple[MultiplicityVector, MultiplicityVector], int]:
     """The Hall numbers of m over every pair of classes (a, c), a of
     dimension vector e: {(a, c): number of submodules U ≅ a with m/U ≅ c},
-    from one enumeration of the stable subspace tuples of shape e.
+    read off the rows of every shape of m, counted in one walk of the
+    stable subspace tuples (``cap`` bounds it) and memoized per ambient
+    module in ``ar.grass_rows``, so a sweep over the shapes walks m once.
 
     Each tuple's sub is classified by its into-vector and its quotient by
     its out-of vector, both read off the Hom bases of m (``ARQuiver.
@@ -242,22 +254,34 @@ def hall_numbers_grass(ar: ARQuiver, m: Representation, e: Sequence[int],
     * hence the class whose vector agrees with the module's on that set is
       the module's class.
     """
-    d = m.dims
-    if len(e) != len(d) or min(e, default=0) < 0:
+    e = tuple(e)
+    if len(e) != len(m.dims) or min(e, default=0) < 0:
         raise ValueError("bad shape vector")
-    if any(x > y for x, y in zip(e, d)):
+    if any(x > y for x, y in zip(e, m.dims)):
         return {}
+    rows = ar.grass_rows.get(m)
+    if rows is None:
+        rows = ar.grass_rows[m] = _grass_rows(ar, m, None, cap)
+    return dict(rows.get(e, {}))
+
+
+def _grass_rows(ar: ARQuiver, m: Representation, e: tuple[int, ...] | None,
+                cap: int) -> dict[tuple[int, ...], dict]:
+    """{shape: row of ``hall_numbers_grass``} from one walk of the tuples
+    of shape e, or of every shape when e is None."""
     frame = ar.hom_frame(m)
-    sub_coords, subs = ar.distinguishing_set(e)
-    quot_coords, quots = ar.distinguishing_set(
-        tuple(y - x for x, y in zip(e, d)), outof=True)
-    counts: dict[tuple[MultiplicityVector, MultiplicityVector], int] = {}
+    rows: dict[tuple[int, ...], dict] = {}
     for tup in closed_subspace_tuples(m, e, cap=cap):
+        shape = tup.dims
+        sub_coords, subs = ar.distinguishing_set(shape)
+        quot_coords, quots = ar.distinguishing_set(
+            tuple(y - x for x, y in zip(shape, m.dims)), outof=True)
         key = tup.key()
         pair = (_lookup(subs, frame.into_vector(key, sub_coords)),
                 _lookup(quots, frame.outof_vector(key, quot_coords)))
+        counts = rows.setdefault(shape, {})
         counts[pair] = counts.get(pair, 0) + 1
-    return counts
+    return rows
 
 
 def _lookup(table: dict[tuple[int, ...], MultiplicityVector],
@@ -274,15 +298,19 @@ def hall_number_grass(ar: ARQuiver, n1: Representation, n2: Representation,
                       m: Representation, cap: int = 10_000_000) -> int:
     """Submodules of m isomorphic to n1 with quotient isomorphic to n2: the
     entry (class of n1, class of n2) of ``hall_numbers_grass``, settled as
-    0 without enumeration when Hom(n1, m) or Hom(m, n2) is zero."""
+    0 without enumeration when Hom(n1, m) or Hom(m, n2) is zero.  Without
+    m's rows of every shape in ``ar.grass_rows``, it walks n1's shape alone
+    (memoized under (m, shape)): cheaper when few shapes of m are asked."""
     if not _dim_law_holds(n1, n2, m):
         return 0
     if n1.total_dim and hom_dim(n1, m) == 0:
         return 0
     if n2.total_dim and hom_dim(m, n2) == 0:
         return 0
-    row = hall_numbers_grass(ar, m, n1.dims, cap=cap)
-    return row.get((ar.class_of(n1), ar.class_of(n2)), 0)
+    rows = ar.grass_rows.get(m) or ar.grass_rows.get((m, n1.dims))
+    if rows is None:
+        rows = ar.grass_rows[(m, n1.dims)] = _grass_rows(ar, m, n1.dims, cap)
+    return rows.get(n1.dims, {}).get((ar.class_of(n1), ar.class_of(n2)), 0)
 
 
 def hall_numbers_hom(ar: ARQuiver, n1: Representation, m: Representation,
@@ -294,9 +322,11 @@ def hall_numbers_hom(ar: ARQuiver, n1: Representation, m: Representation,
 
     ``linalg.injective_images`` walks Hom(n1, m) one orbit of
     G = Π GL_{n_i}(F_p) at a time, for n1 = ⊕ X_i^{n_i} as ``n1.runs``
-    records it (``_hom_blocks``: a basis of Hom(X_i, m) per distinct
-    summand, from m's Hom bases).  G mixes the copies of each summand; it
-    acts freely on the injective maps and keeps their image.  Its proof
+    records it (``_knitted_runs``: a basis of Hom(X_i, m) per distinct
+    summand, from m's Hom bases).  The walk of each run X_i^{n_i} depends
+    only on X_i, n_i and m, so m's frame keeps it (``HomFrame.tally``).
+    G mixes the copies of each summand; it acts freely on the injective
+    maps and keeps their image.  Its proof
     sketch covers the slice (on an injective map the copies' maps of X_i
     are independent, so each orbit has one member whose copies are the
     reduced echelon basis of an n_i-dimensional subspace of Hom(X_i, m))
@@ -318,7 +348,9 @@ def hall_numbers_hom(ar: ARQuiver, n1: Representation, m: Representation,
     """
     p = m.field.p
     frame = ar.hom_frame(m)
-    blocks = _hom_blocks(ar, frame, n1, m)
+    runs = _knitted_runs(ar, n1)
+    blocks = (hom_blocks(n1, m) if runs is None else
+              [(n, ar.vertices[k].rep.dims, frame.into_basis(k)) for k, n in runs])
     h = sum(n * len(basis) for n, _, basis in blocks)
     if p ** h > hom_bound:
         raise ResourceBound(
@@ -331,8 +363,11 @@ def hall_numbers_hom(ar: ARQuiver, n1: Representation, m: Representation,
         raise NonUnitriangularHomMatrix(
             f"two classes of dimension vector {rest} share their out-of vector")
     every = range(len(ar.vertices))
+    images = (injective_images(m.dims, blocks, m.field) if runs is None else
+              tallied_images(m.dims, [(n, frame.tally(k, n)) for k, n in runs],
+                             m.field))
     counts: dict[MultiplicityVector, int] = {}
-    for key, maps in injective_images(m.dims, blocks, m.field).items():
+    for key, maps in images.items():
         if maps != aut:
             raise NonIntegralOrbitCount(
                 f"{maps} injective maps onto one image, but |Aut| = {aut}")
@@ -341,15 +376,17 @@ def hall_numbers_hom(ar: ARQuiver, n1: Representation, m: Representation,
     return counts
 
 
-def _hom_blocks(ar: ARQuiver, frame: HomFrame, n1: Representation,
-                m: Representation) -> list[tuple]:
-    """``reps.hom_blocks(n1, m)``, with the basis of Hom(X_k, m) taken from
-    m's frame for each knitted summand X_k that ``n1.runs`` records."""
-    runs = n1.runs or ()
+def _knitted_runs(ar: ARQuiver, n1: Representation) -> list[tuple[int, int]] | None:
+    """``n1.runs`` as (knitted index k, multiplicity n) when it is recorded
+    and every summand is a knitted vertex X_k, else None (``reps.
+    hom_blocks`` then builds the blocks from Hom spaces)."""
+    runs = n1.runs
+    if runs is None:
+        return None
     found = [ar.by_id.get(x.dim_id()) for x, _ in runs]
-    if not runs or any(v is None or v.rep is not x for v, (x, _) in zip(found, runs)):
-        return hom_blocks(n1, m)
-    return [(n, x.dims, frame.into_basis(v.index)) for v, (x, n) in zip(found, runs)]
+    if any(v is None or v.rep is not x for v, (x, _) in zip(found, runs)):
+        return None
+    return [(v.index, n) for v, (_, n) in zip(found, runs)]
 
 
 def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
@@ -833,4 +870,5 @@ def _oracle_equivalence_slice(spec: AlgebraSpec, p: int,
                             mismatches.append(
                                 (p, a_mv.render(), c_mv.render(), b.render(),
                                  grass, hom, ext))
+            ar.forget(m)
     return compared, nonzero, skipped, mismatches

@@ -27,7 +27,8 @@ from .algebra import AlgebraSpec, projective_rep
 from .errors import (EtaNotInjective, FieldDependenceDetected, IsProjective,
                      NonUnitriangularHomMatrix, NotDirected,
                      NotRepresentationFinite)
-from .linalg import FMatrix, PrimeField, echelon, hstack, row_space, vstack
+from .linalg import (FMatrix, PrimeField, _block_tally, echelon, hstack, row_space,
+                     vstack)
 from .reps import (MultiplicityVector, Representation, SubspaceTuple,
                    check_relations, compose_homs, decompose_with_embeddings,
                    direct_sum, find_isomorphism, hom_dim, hom_space, identify,
@@ -104,8 +105,9 @@ class ARQuiver:
     asked about (``class_of``), the Hom bases of each ambient module the
     subspace and hom routes count in (``hom_frame``), the distinguishing
     coordinates of each dimension vector and bounds
-    (``distinguishing_set``) and, in ``ext_tables``, the Hall numbers of
-    each pair (a, c) from one walk of Ext¹(c, a) (``hall.ext_hall_number``).
+    (``distinguishing_set``), the Hall numbers of each pair (a, c) from one
+    walk of Ext¹(c, a) (``ext_tables``) and the subspace route's rows
+    (``grass_rows``: of every shape under m, of one shape e under (m, e)).
     The class lists, Hom vectors and distinguishing sets do not depend on
     the prime once the knitted order and the Hom matrix agree, and the
     quivers of one ``hall.ARFamily`` share them (``share_memos``, which
@@ -137,6 +139,7 @@ class ARQuiver:
         self._modules: dict[MultiplicityVector, Representation] = {}
         self.ext_tables: dict[tuple[MultiplicityVector, MultiplicityVector],
                               dict[MultiplicityVector, int]] = {}
+        self.grass_rows: dict[Representation | tuple, dict[tuple[int, ...], dict]] = {}
 
     def share_memos(self, first: "ARQuiver") -> None:
         """Read and fill the memos of ``module_classes``, ``hom_vectors`` and
@@ -320,6 +323,11 @@ class ARQuiver:
                                                self._frame_rows)
         return frame
 
+    def forget(self, m: Representation) -> None:
+        """Drop the frame and the rows of every shape kept for module m."""
+        self._frames.pop(m, None)
+        self.grass_rows.pop(m, None)
+
     def distinguishing_set(self, d: Sequence[int], outof: bool = False,
                            bounds: tuple[Sequence[int], Sequence[int]] | None = None
                            ) -> tuple[tuple[int, ...], dict[tuple[int, ...],
@@ -383,7 +391,7 @@ class ARQuiver:
 class HomFrame:
     """Bases of Hom(X_k, m) and Hom(m, X_k) for every knitted vertex X_k,
     from which the Hom vectors of a submodule U ⊂ m and of m/U are read
-    without building either module.
+    without building either module, and the hom route's walks (``tally``).
 
     A submodule is given by its subspace tuple: per vertex i, the rows of
     the reduced echelon basis of U_i ⊂ m_i (``SubspaceTuple.key()``, the
@@ -409,7 +417,7 @@ class HomFrame:
     uniquely for the multiplicities.
     """
 
-    __slots__ = ("m", "xs", "shared", "p", "inv", "_into", "_outof")
+    __slots__ = ("m", "xs", "shared", "p", "inv", "_into", "_outof", "_tallies")
 
     def __init__(self, m: Representation, xs: Sequence[Representation],
                  shared: dict[tuple, tuple]):
@@ -417,6 +425,7 @@ class HomFrame:
         self.p, self.inv = m.field.p, m.field.inverses
         self._into: list[list | None] = [None] * len(xs)
         self._outof: list[list | None] = [None] * len(xs)
+        self._tallies: dict[tuple[int, int], dict] = {}
 
     def into_basis(self, k: int) -> list:
         """A basis of Hom(X_k, m), computed on first use: per map f, per
@@ -436,6 +445,14 @@ class HomFrame:
                 (g[v].rows for v in self.m.spec.vertices)
                 for g in hom_space(self.m, self.xs[k]))
         return self._outof[k]
+
+    def tally(self, k: int, n: int) -> dict:
+        """``linalg._block_tally`` of X_k^n against m, computed on first use."""
+        tally = self._tallies.get((k, n))
+        if tally is None:
+            tally = self._tallies[(k, n)] = _block_tally(
+                n, self.xs[k].dims, self.into_basis(k), self.m.dims, self.m.field)
+        return tally
 
     def _keep(self, maps: Iterable[Iterable[tuple]]) -> list[tuple]:
         """maps, with every tuple of rows replaced by an equal one that a

@@ -356,16 +356,23 @@ def injective_images(col_dims: Sequence[int],
       way.
     The weights of all keys sum to the number of injective maps.
     """
+    return tallied_images(col_dims, [
+        (n, _block_tally(n, row_dims, basis, col_dims, field))
+        for n, row_dims, basis in blocks if any(row_dims)], field)
+
+
+def tallied_images(col_dims: Sequence[int], tallies: Sequence[tuple[int, Counter]],
+                   field: PrimeField) -> dict[tuple, int]:
+    """``injective_images`` from each nonzero block's multiplicity n and
+    ``_block_tally`` (``knit.HomFrame.tally`` keeps them per ambient)."""
     p = field.p
     weight = 1
-    tallies = []
-    for n, row_dims, basis in blocks:
-        if any(row_dims):
-            for k in range(n):
-                weight *= p ** n - p ** k
-            tallies.append(_block_tally(n, row_dims, basis, col_dims, field))
+    for n, _ in tallies:
+        for k in range(n):
+            weight *= p ** n - p ** k
     images: dict[tuple, int] = {}
-    _add_blocks(tallies, [[] for _ in col_dims], weight, images, p, field.inverses)
+    _add_blocks([tally for _, tally in tallies], [[] for _ in col_dims], weight,
+                images, p, field.inverses)
     return images
 
 
@@ -619,58 +626,66 @@ def subspace_contains(outer: FMatrix, inner: FMatrix) -> bool:
                for v in inner.rows)
 
 
-def subspaces_between(lower: FMatrix, upper: FMatrix, e: int,
+def subspaces_between(lower: FMatrix, upper: FMatrix, e: int | None = None,
                       cap: int = 10_000_000) -> Iterator[FMatrix]:
-    """Every e-dimensional subspace W with lower <= W <= upper, as canonical
-    RREF bases in the ambient coordinates.
+    """Every subspace W with lower <= W <= upper, of dimension e or, when e
+    is None, of every dimension, as canonical RREF bases: one ``rref`` of
+    upper gives B, row k led by a 1 at q_k, the rows of lower are solved
+    for their coordinates in B once, and each superspace w of their span
+    (``enumerate_superspaces``) is mapped back to w·B.
 
-    Both bounds are row spaces in F_p^d; enumeration happens in the
-    coordinates of ``upper`` and is lifted back.
+    w·B is reduced echelon: with w reduced echelon, row i led by a 1 at
+    t_i, row i of w·B = Σ_k w_ik B_k is zero before q_{t_i} and 1 there,
+    and at each q_k it reads w_ik (B is reduced), 0 at the other t_j.
     """
-    field = lower.field
-    d = lower.ncols
     up = rref(upper)
-    a = up.rank
-    if e > a or e < lower.nrows:
+    if up.rank == upper.ncols:  # B is the identity, so w·B = w
+        yield from enumerate_superspaces(lower, e, cap=cap)
         return
-    coords = [coords_in_rowspace(up.matrix, up.pivots, v) for v in lower.rows]
+    pivots = up.pivots
+    coords = [coords_in_rowspace(up.matrix, pivots, v) for v in lower.rows]
     if None in coords:
         return  # lower is not inside upper: nothing between them
-    lower_in_upper = row_space(FMatrix.from_rows(field, coords, ncols=a))
-    big = FMatrix(field, a, d, up.matrix.rows[:a])
-    for w in enumerate_superspaces(lower_in_upper, e, cap=cap):
-        lifted = w.mul(big)
-        out = rref(lifted)
-        assert out.rank == e
-        yield FMatrix(field, e, d, out.matrix.rows[:e])
+    big = FMatrix(upper.field, up.rank, upper.ncols, up.matrix.rows[:up.rank])
+    base = FMatrix(upper.field, len(coords), up.rank, tuple(coords))
+    for w in enumerate_superspaces(base, e, cap=cap):
+        out = w.mul(big)
+        assert tuple(tuple(row[q] for q in pivots) for row in out.rows) == w.rows
+        yield out
 
 
-def enumerate_superspaces(base: FMatrix, e: int,
+def enumerate_superspaces(base: FMatrix, e: int | None = None,
                           cap: int = 10_000_000) -> Iterator[FMatrix]:
     """Every e-dimensional subspace of F_p^d containing the row space of
-    ``base`` (an RREF basis, possibly with zero rows already dropped).
+    ``base``, or of every dimension when e is None, as canonical RREF bases
+    (``cap`` bounds each dimension): ``base`` is echeloned once, to R with
+    pivots P; each quotient subspace's reduced echelon basis is lifted onto
+    the other columns, its pivot columns cleared from R, and the rows
+    merged by pivot.
 
-    Lifts subspaces of the quotient along the complement-coordinate section;
-    each result is again a canonical RREF basis.
+    That is reduced echelon: a lifted row is led by a 1 at its pivot and is
+    zero at P and at the other lifted pivots, so clearing with it moves no
+    other pivot column; and a row of R, zero before its leading 1, is only
+    cleared at lifted pivots after it, as a lifted row is zero before its
+    own pivot, so its leading 1 stays.
     """
     field = base.field
-    d = base.ncols
-    res = rref(base)
-    r = res.rank
-    if e < r:
-        return
-    if e > d:
-        return
-    rows_r = res.matrix.rows[:r]
-    complement = [j for j in range(d) if j not in set(res.pivots)]
-    for w in enumerate_subspaces(len(complement), e - r, field, cap=cap):
-        lifted = list(rows_r)
-        for wrow in w.rows:
-            v = [0] * d
-            for k, col in enumerate(complement):
-                v[col] = wrow[k]
-            lifted.append(tuple(v))
-        stacked = FMatrix(field, len(lifted), d, tuple(lifted))
-        out = rref(stacked)
-        assert out.rank == e
-        yield FMatrix(field, e, d, out.matrix.rows[:e])
+    p, d = field.p, base.ncols
+    rows = [list(row) for row in base.rows]
+    pivots = echelon(rows, p, field.inverses)
+    r = len(pivots)
+    complement = [j for j in range(d) if j not in set(pivots)]
+    dims = range(r, d + 1) if e is None else range(e, e + 1) if r <= e <= d else ()
+    for k in dims:
+        for w in enumerate_subspaces(d - r, k - r, field, cap=cap):
+            merged = list(zip(pivots, rows))
+            for wrow in w.rows:
+                v = [0] * d
+                for col, x in zip(complement, wrow):
+                    v[col] = x
+                lead = next(c for c, x in enumerate(v) if x)
+                merged = [(c, [(a - row[lead] * b) % p for a, b in zip(row, v)]
+                           if row[lead] else row) for c, row in merged]
+                merged.append((lead, v))
+            merged.sort(key=lambda item: item[0])
+            yield FMatrix(field, k, d, tuple(tuple(row) for _, row in merged))

@@ -26,10 +26,11 @@ class Representation:
 
     ``runs`` is a known decomposition, ((X, n), ...) for X^n ⊕ ..., which
     ``ARQuiver.class_module`` records on the modules it builds; it is None
-    when none is known.  It is not part of ``key()`` or equality.
+    when none is known.  It is not part of ``key()`` or equality; the key
+    is kept once computed, as nothing changes ``dims`` or ``maps``.
     """
 
-    __slots__ = ("spec", "field", "dims", "maps", "runs")
+    __slots__ = ("spec", "field", "dims", "maps", "runs", "_key")
 
     def __init__(self, spec: "AlgebraSpec", field: PrimeField,
                  dims: Sequence[int], maps: Mapping[str, FMatrix]):
@@ -48,6 +49,7 @@ class Representation:
             checked[a.id] = m
         self.maps = checked
         self.runs: tuple[tuple[Representation, int], ...] | None = None
+        self._key: tuple | None = None
 
     @property
     def total_dim(self) -> int:
@@ -60,8 +62,10 @@ class Representation:
         return self.spec.render_dim_id(self.dims)
 
     def key(self) -> tuple:
-        return (self.field.p, self.dims,
-                tuple(sorted((a, m.rows) for a, m in self.maps.items())))
+        if self._key is None:
+            self._key = (self.field.p, self.dims,
+                         tuple(sorted((a, m.rows) for a, m in self.maps.items())))
+        return self._key
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Representation) and other.key() == self.key()
@@ -729,9 +733,9 @@ def decompose(m: Representation, seed: int = 0,
 
 
 class MultiplicityVector:
-    """A finite-support multiset of AR-quiver vertex ids."""
+    """A finite-support multiset of AR-quiver vertex ids (immutable)."""
 
-    __slots__ = ("_items",)
+    __slots__ = ("_items", "_hash")
 
     def __init__(self, counts: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
         if isinstance(counts, Mapping):
@@ -745,6 +749,7 @@ class MultiplicityVector:
             if val:
                 cleaned[key] = cleaned.get(key, 0) + val
         self._items = tuple(sorted(cleaned.items()))
+        self._hash = hash(self._items)
 
     @classmethod
     def unit(cls, vertex_id: str) -> "MultiplicityVector":
@@ -782,7 +787,7 @@ class MultiplicityVector:
         return isinstance(other, MultiplicityVector) and other._items == self._items
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return self._hash
 
     def render(self) -> str:
         if not self._items:

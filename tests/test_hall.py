@@ -256,6 +256,69 @@ class TestRows:
             (258, 149, 132, [])
 
 
+def _class_modules(ar, max_total_dim):
+    """Every class module of total dimension at most ``max_total_dim``."""
+    for d in itertools.product(range(max_total_dim + 1), repeat=len(ar.spec.vertices)):
+        if 0 < sum(d) <= max_total_dim:
+            for b in ar.module_classes(d):
+                yield b, ar.class_module(b)
+
+
+class TestOneWalkPerAmbient:
+    """The subspace route walks every shape of an ambient module at once
+    and memoizes the rows per module on the quiver."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("name", ["a2", "a3", "a3_bound", "csquare", "d4"])
+    def test_every_shape_walk_is_the_union(self, algebras, name, p):
+        """``closed_subspace_tuples(m)`` yields the tuples of the walks of
+        every single shape, each once."""
+        ar = knit(algebras[name], p)
+        for b, m in _class_modules(ar, 4):
+            walked = [tup.key() for tup in closed_subspace_tuples(m)]
+            every = itertools.product(*(range(x + 1) for x in m.dims))
+            shapes = [tup.key() for e in every for tup in closed_subspace_tuples(m, e)]
+            assert len(set(walked)) == len(walked), b.render()
+            assert sorted(walked) == sorted(shapes), b.render()
+
+    def test_cap_bounds_the_whole_walk(self, algebras):
+        ar = knit(algebras["a3"], 2)
+        m = ar.class_module(ar.module_classes((1, 2, 1))[0])
+        total = len(list(closed_subspace_tuples(m)))
+        assert max(len(list(closed_subspace_tuples(m, e)))
+                   for e in itertools.product(*(range(x + 1) for x in m.dims))) < total
+        with pytest.raises(ResourceBound):
+            list(closed_subspace_tuples(m, cap=total - 1))
+        with pytest.raises(ResourceBound):
+            hall_numbers_grass(ar, m, (1, 1, 0), cap=total - 1)
+        assert sum(hall_numbers_grass(ar, m, (1, 1, 0), cap=total).values()) == len(
+            list(closed_subspace_tuples(m, (1, 1, 0))))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("name", ["a2", "a3_bound", "csquare"])
+    def test_memo_rows_match_a_fresh_quiver(self, algebras, name, p):
+        """Rows served from the memo of one quiver, asked shape after
+        shape and module after module, equal those of a quiver knitted
+        fresh for each ambient class; a returned row is the caller's, and
+        ``forget`` drops the module's rows and frame."""
+        spec = algebras[name]
+        ar = knit(spec, p)
+        for b, m in _class_modules(ar, 3):
+            fresh = knit(spec, p)
+            for e in itertools.product(*(range(x + 1) for x in m.dims)):
+                row = hall_numbers_grass(ar, m, e)
+                assert row == hall_numbers_grass(fresh, fresh.class_module(b), e), \
+                    (b.render(), e)
+                row.clear()
+                assert hall_numbers_grass(ar, m, e) == hall_numbers_grass(
+                    fresh, fresh.class_module(b), e)
+            assert sum(n for row in ar.grass_rows[m].values() for n in row.values()) \
+                == len(list(closed_subspace_tuples(m)))
+            frame = ar.hom_frame(m)
+            ar.forget(m)
+            assert m not in ar.grass_rows and ar.hom_frame(m) is not frame
+
+
 class TestFamilyQuivers:
     def test_field_dependent_quiver_is_never_served(self, algebras, monkeypatch):
         """A quiver whose vertex ids differ from the reference knit (a3

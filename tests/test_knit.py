@@ -13,6 +13,7 @@ from hallie.hall import closed_subspace_tuples
 from hallie.knit import (KnitConfig, ar_sequence, ar_to_doc,
                          check_field_independence, compare_quiver_shapes, knit)
 from hallie import liealg
+from hallie.linalg import _block_tally
 from hallie.hall import ARFamily
 from hallie.liealg import enumerate_module_classes, hall_lie_table
 from hallie.reps import (MultiplicityVector, aut_order, check_relations, hom_dim,
@@ -373,6 +374,30 @@ class TestHomFrame:
                             hom_dim(quot, x) for x in xs], (mv.render(), e)
                         checked += 1
         assert checked > 0
+
+
+class TestFrameTallies:
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("name", ["a2", "a3", "csquare"])
+    def test_tally_is_a_fresh_block_tally(self, algebras, name, p):
+        """Each tally the frame keeps for the hom route equals a fresh
+        ``_block_tally`` of its (k, n), asked n = 1 first so that a memo
+        that dropped the multiplicity would answer n = 2 wrongly."""
+        ar = knit(algebras[name], p)
+        nonempty = 0
+        for d in itertools.product(range(4), repeat=len(ar.spec.vertices)):
+            for mv in ar.module_classes(d) if 0 < sum(d) <= 3 else ():
+                m = ar.class_module(mv)
+                frame = ar.hom_frame(m)
+                for k, v in enumerate(ar.vertices):
+                    for n in (1, 2):
+                        tally = frame.tally(k, n)
+                        fresh = _block_tally(n, v.rep.dims, frame.into_basis(k),
+                                             m.dims, m.field)
+                        assert tally == fresh, (mv.render(), k, n)
+                        assert frame.tally(k, n) is tally
+                        nonempty += bool(tally)
+        assert nonempty > 0
 
 
 class TestClosedFormAut:

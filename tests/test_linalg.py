@@ -381,6 +381,36 @@ class TestSubspaceCalculus:
                 if subspace_contains(s, lower) and subspace_contains(upper, s)}
         assert got == want
 
+    @given(p=st.sampled_from([2, 3]), d=st.integers(1, 4), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_bases_by_construction_match_filter(self, p, d, data):
+        """``subspaces_between`` (each e, and every e at once) and
+        ``enumerate_superspaces`` build their echelon bases without
+        re-echeloning; each must list exactly the canonical bases that a
+        filter of ``enumerate_subspaces`` keeps, for random lower <= upper
+        (lower given by any spanning rows, dependent or zero ones too)."""
+        field = PrimeField(p)
+        entries = st.lists(st.integers(0, p - 1), min_size=d, max_size=d)
+        upper = row_space(mat(field, data.draw(st.lists(entries, max_size=d)), ncols=d))
+        h = upper.nrows
+        coeffs = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=h,
+                                             max_size=h), max_size=d))
+        lower = mat(field, [[sum(c * row[j] for c, row in zip(cs, upper.rows)) % p
+                             for j in range(d)] for cs in coeffs], ncols=d)
+        every = [list(enumerate_subspaces(d, e, field)) for e in range(d + 1)]
+        walked = []
+        for e in range(d + 1):
+            between = list(subspaces_between(lower, upper, e))
+            assert sorted(s.rows for s in between) == sorted(
+                s.rows for s in every[e]
+                if subspace_contains(s, lower) and subspace_contains(upper, s))
+            walked += [s.rows for s in between]
+            assert sorted(s.rows for s in enumerate_superspaces(lower, e)) == sorted(
+                s.rows for s in every[e] if subspace_contains(s, lower))
+        assert [s.rows for s in subspaces_between(lower, upper)] == walked
+        assert [s.rows for s in enumerate_superspaces(lower)] == [
+            s.rows for e in range(d + 1) for s in enumerate_superspaces(lower, e)]
+
     def test_row_space_canonical(self):
         m = mat(F5, [[2, 4], [1, 2]])
         assert row_space(m).rows == ((1, 2),)

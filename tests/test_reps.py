@@ -282,6 +282,27 @@ class TestAutOrder:
         assert aut_order(bare) == with_runs == 3 ** 3 * 2 * 2 * 48
 
 
+class TestCachedHashes:
+    def test_representation_key_is_kept_and_fresh(self, a2):
+        """The kept key equals one computed anew, ``runs`` stays outside
+        it, and equal modules built apart hash equal."""
+        field = PrimeField(3)
+        parts = [simple_rep(a2, "1", 3), simple_rep(a2, "2", 3)]
+        m, twin = (direct_sum(a2, field, parts) for _ in range(2))
+        h = hash(m)
+        assert m.key() is m.key()
+        assert m.key() == (3, m.dims, tuple(sorted((a, x.rows) for a, x in m.maps.items())))
+        m.runs = ((parts[0], 1), (parts[1], 1))
+        assert m == twin and hash(m) == hash(twin) == h
+        assert hash(direct_sum(a2, field, parts[::-1])) == h
+
+    def test_multiplicity_vector_hash(self):
+        mv = MultiplicityVector({"1-0": 1, "0-1": 2})
+        same = MultiplicityVector([("0-1", 1), ("1-0", 1), ("2-2", 0), ("0-1", 1)])
+        assert mv == same and hash(mv) == hash(same) == hash(mv.items())
+        assert hash(MultiplicityVector.unit("1-0") + MultiplicityVector({"0-1": 2})) == hash(mv)
+
+
 class TestFindIsomorphism:
     def test_identifies_equal_bricks(self, a2):
         p = projective_rep(a2, "1", 3)

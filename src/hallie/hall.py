@@ -235,8 +235,10 @@ def hall_numbers_grass(ar: ARQuiver, m: Representation, e: Sequence[int],
     """The Hall numbers of m over every pair of classes (a, c), a of
     dimension vector e: {(a, c): number of submodules U ≅ a with m/U ≅ c},
     read off the rows of every shape of m, counted in one walk of the
-    stable subspace tuples (``cap`` bounds it) and memoized per ambient
-    module in ``ar.grass_rows``, so a sweep over the shapes walks m once.
+    stable subspace tuples and memoized per ambient module in
+    ``ar.grass_rows``, so a sweep over the shapes walks m once.  ``cap``
+    bounds the tuples of that whole walk, and only the call that walks:
+    once m's rows are memoized they are served whatever the cap.
 
     Each tuple's sub is classified by its into-vector and its quotient by
     its out-of vector, both read off the Hom bases of m (``ARQuiver.
@@ -298,18 +300,19 @@ def hall_number_grass(ar: ARQuiver, n1: Representation, n2: Representation,
                       m: Representation, cap: int = 10_000_000) -> int:
     """Submodules of m isomorphic to n1 with quotient isomorphic to n2: the
     entry (class of n1, class of n2) of ``hall_numbers_grass``, settled as
-    0 without enumeration when Hom(n1, m) or Hom(m, n2) is zero.  Without
-    m's rows of every shape in ``ar.grass_rows``, it walks n1's shape alone
-    (memoized under (m, shape)): cheaper when few shapes of m are asked."""
+    0 without enumeration when Hom(n1, m) or Hom(m, n2) is zero.  It reads
+    m's rows of every shape from ``ar.grass_rows`` when a row function has
+    filled them; otherwise it walks n1's shape alone, unmemoized, and
+    ``cap`` bounds that walk."""
     if not _dim_law_holds(n1, n2, m):
         return 0
     if n1.total_dim and hom_dim(n1, m) == 0:
         return 0
     if n2.total_dim and hom_dim(m, n2) == 0:
         return 0
-    rows = ar.grass_rows.get(m) or ar.grass_rows.get((m, n1.dims))
+    rows = ar.grass_rows.get(m)
     if rows is None:
-        rows = ar.grass_rows[(m, n1.dims)] = _grass_rows(ar, m, n1.dims, cap)
+        rows = _grass_rows(ar, m, n1.dims, cap)
     return rows.get(n1.dims, {}).get((ar.class_of(n1), ar.class_of(n2)), 0)
 
 
@@ -806,9 +809,11 @@ def check_oracle_equivalence(spec: AlgebraSpec, primes: Sequence[int],
     whose members each have total dimension at most ``max_total_dim``.
 
     The routes answer rows: per ambient class b and sub class a, one hom
-    row over every quotient class c; per b and shape e, one grass row over
-    every (a, c) of that shape, counted only when some a of the shape is
-    not skipped.  The resource bounds of the hom oracle depend on (b, a)
+    row over every quotient class c; per b, one grass walk of every shape
+    of b, with rows over every (a, c) of each shape.  That walk runs on the
+    first shape of b with an a that is not skipped and takes in every
+    shape, those whose hom rows are all skipped too; its cap bounds the
+    whole walk.  The resource bounds of the hom oracle depend on (b, a)
     only (p^{dim Hom(a, b)} and p^{dim End(a)}), so when the hom row of
     (b, a) exceeds them every triple (a, c, b) is recorded as skipped (the
     hom oracle's precondition fails there) and no route counts it.  On

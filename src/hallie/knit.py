@@ -106,8 +106,8 @@ class ARQuiver:
     subspace and hom routes count in (``hom_frame``), the distinguishing
     coordinates of each dimension vector and bounds
     (``distinguishing_set``), the Hall numbers of each pair (a, c) from one
-    walk of Ext¹(c, a) (``ext_tables``) and the subspace route's rows
-    (``grass_rows``: of every shape under m, of one shape e under (m, e)).
+    walk of Ext¹(c, a) (``ext_tables``) and the subspace route's rows of
+    every shape of each ambient module (``grass_rows``).
     The class lists, Hom vectors and distinguishing sets do not depend on
     the prime once the knitted order and the Hom matrix agree, and the
     quivers of one ``hall.ARFamily`` share them (``share_memos``, which
@@ -139,7 +139,7 @@ class ARQuiver:
         self._modules: dict[MultiplicityVector, Representation] = {}
         self.ext_tables: dict[tuple[MultiplicityVector, MultiplicityVector],
                               dict[MultiplicityVector, int]] = {}
-        self.grass_rows: dict[Representation | tuple, dict[tuple[int, ...], dict]] = {}
+        self.grass_rows: dict[Representation, dict[tuple[int, ...], dict]] = {}
 
     def share_memos(self, first: "ARQuiver") -> None:
         """Read and fill the memos of ``module_classes``, ``hom_vectors`` and

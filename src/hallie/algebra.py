@@ -69,13 +69,6 @@ class Arrow:
         self.source = source
         self.target = target
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Arrow) and (other.id, other.source, other.target)
-                == (self.id, self.source, self.target))
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.source, self.target))
-
 
 class Quiver:
     __slots__ = ("vertices", "arrows")
@@ -83,13 +76,6 @@ class Quiver:
     def __init__(self, vertices: tuple[str, ...], arrows: tuple[Arrow, ...]):
         self.vertices = vertices
         self.arrows = arrows
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Quiver)
-                and (other.vertices, other.arrows) == (self.vertices, self.arrows))
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.arrows))
 
 
 class Relation:
@@ -99,13 +85,6 @@ class Relation:
         self.kind = kind  # "zero" | "commutativity"
         self.lhs = lhs
         self.rhs = rhs
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Relation) and (other.kind, other.lhs, other.rhs)
-                == (self.kind, self.lhs, self.rhs))
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.lhs, self.rhs))
 
 
 class AlgebraSpec:
@@ -129,16 +108,6 @@ class AlgebraSpec:
         self.nilpotency_bound = nilpotency_bound
         self.rewrites = rewrites
         self.topo_order = topo_order
-
-    def _fields(self) -> tuple:
-        return (self.quiver, self.relations, self.path_basis,
-                self.nilpotency_bound, self.rewrites, self.topo_order)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, AlgebraSpec) and other._fields() == self._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -412,11 +381,6 @@ def _rational_rref(rows: list[list[Fraction]]) -> list[tuple[int, list[Fraction]
     return [(c, rows[i]) for i, c in enumerate(pivots)]
 
 
-def reduce_path(spec: AlgebraSpec, path: Path) -> tuple[tuple[int, Path], ...]:
-    """Expansion of a path in the basis; empty tuple if the path is zero."""
-    return spec.rewrites[path]
-
-
 def projective_rep(spec: AlgebraSpec, x: str, p: int):
     """The indecomposable projective at vertex x, over F_p.
 
@@ -438,7 +402,7 @@ def projective_rep(spec: AlgebraSpec, x: str, p: int):
         rows = [[0] * len(src_paths) for _ in dst_paths]
         for j, q in enumerate(src_paths):
             extended = Path((a.id,) + q.arrows, q.source, a.target)
-            for coeff, basis_path in reduce_path(spec, extended):
+            for coeff, basis_path in spec.rewrites[extended]:
                 rows[dst_index[basis_path]][j] = coeff % p
         maps[a.id] = FMatrix.from_rows(field, rows, ncols=len(src_paths))
     return Representation(spec, field, dims, maps)

@@ -27,17 +27,17 @@ counting routes are provided, and each answers a whole row at once:
   Hom bases of m (``ARQuiver.hom_frame``) on the distinguishing set of
   the dimension vector only (``ARQuiver.distinguishing_set``).  It is the
   reference route of ``check_oracle_equivalence``.
-* ``hall_numbers_hom`` enumerates the injective homomorphisms n1 -> m once
-  with ``linalg.injective_images`` and answers every quotient class c at
-  once: one map per orbit of Π GL_{n_i}(F_p) for n1 = ⊕ X_i^{n_i}, that is
-  one reduced echelon basis of an n_i-dimensional subspace of Hom(X_i, m)
-  per distinct summand, weighted by the orbit size, walked one row at a
-  time against an incremental echelon so that a row falling in the span
-  of the rows above it cuts off the subtree; m's ``HomFrame`` keeps the
-  walk of each summand X_i^{n_i}.  Each distinct image is classified
-  once, by the out-of vector of its cokernel on every knitted vertex, and
-  must be reached by exactly |Aut(n1)| maps.  It is the independent oracle
-  of ``check_oracle_equivalence``, which compares all three routes.
+* ``hall_numbers_hom`` enumerates the injective homomorphisms from a
+  sub class a = ⊕ X_i^{n_i} into m once, with ``linalg.tallied_images``,
+  and answers every quotient class c at once: one map per orbit of
+  Π GL_{n_i}(F_p), that is one reduced echelon basis of an
+  n_i-dimensional subspace of Hom(X_i, m) per distinct summand, weighted
+  by the orbit size, walked one row at a time against an incremental
+  echelon so that a row falling in the span of the rows above it cuts off
+  the subtree; m's ``HomFrame`` keeps the walk of each summand X_i^{n_i}.  Each distinct image is classified once, by the
+  out-of vector of its cokernel on every knitted vertex, and must be
+  reached by exactly |Aut(a)| maps.  It is the independent oracle of
+  ``check_oracle_equivalence``, which compares all three routes.
 
 ``hall_number_grass`` and ``hall_number_hom`` answer one triple by looking
 it up in its row.  The routes ask the knitted ``ARQuiver`` for what it
@@ -76,11 +76,11 @@ from .errors import (ExtDimensionMismatch, InconsistentCounts,
                      NonIntegralOrbitCount, NonUnitriangularHomMatrix,
                      ResourceBound)
 from .knit import ARQuiver, KnitConfig, knit
-from .linalg import (FMatrix, gaussian_binomial, injective_images,
-                     intersect_subspaces, is_prime, preimage_subspace, row_space,
-                     scalar_orbits, subspaces_between, tallied_images)
+from .linalg import (FMatrix, gaussian_binomial, intersect_subspaces, is_prime,
+                     preimage_subspace, row_space, scalar_orbits, subspaces_between,
+                     tallied_images)
 from .reps import (MultiplicityVector, Representation, SubspaceTuple, aut_order,
-                   ext_space, hom_blocks, hom_dim, middle_term)
+                   ext_space, hom_dim, middle_term)
 
 
 class HallConfig:
@@ -91,14 +91,6 @@ class HallConfig:
         self.excluded_primes = excluded_primes
         self.seed = seed
         self.max_vertices = max_vertices
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, HallConfig)
-                and (other.excluded_primes, other.seed, other.max_vertices)
-                == (self.excluded_primes, self.seed, self.max_vertices))
-
-    def __hash__(self) -> int:
-        return hash((self.excluded_primes, self.seed, self.max_vertices))
 
 
 def primes_from(start_after: int = 1) -> Iterator[int]:
@@ -316,18 +308,19 @@ def hall_number_grass(ar: ARQuiver, n1: Representation, n2: Representation,
     return rows.get(n1.dims, {}).get((ar.class_of(n1), ar.class_of(n2)), 0)
 
 
-def hall_numbers_hom(ar: ARQuiver, n1: Representation, m: Representation,
+def hall_numbers_hom(ar: ARQuiver, a: MultiplicityVector, m: Representation,
                      hom_bound: int = 1_000_000, aut_bound: int = 1_000_000
                      ) -> dict[MultiplicityVector, int]:
-    """The same numbers through injective homomorphisms n1 -> m, for every
-    quotient class at once: {c: number of images U of injective maps with
-    m/U of class c}.
+    """The same numbers through injective homomorphisms n1 -> m, n1 the
+    module of class a, for every quotient class at once: {c: number of
+    images U of injective maps with m/U of class c}.
 
-    ``linalg.injective_images`` walks Hom(n1, m) one orbit of
-    G = Π GL_{n_i}(F_p) at a time, for n1 = ⊕ X_i^{n_i} as ``n1.runs``
-    records it (``_knitted_runs``: a basis of Hom(X_i, m) per distinct
-    summand, from m's Hom bases).  The walk of each run X_i^{n_i} depends
-    only on X_i, n_i and m, so m's frame keeps it (``HomFrame.tally``).
+    ``linalg.tallied_images`` walks Hom(n1, m) one orbit of
+    G = Π GL_{n_i}(F_p) at a time, for a = ⊕ X_i^{n_i} read off
+    ``a.items()`` in knitted order, with a basis of Hom(X_i, m) per
+    distinct summand from m's Hom bases.  The walk of each run X_i^{n_i}
+    depends only on X_i, n_i and m, so m's frame keeps it
+    (``HomFrame.tally``) and the runs are added in knitted order.
     G mixes the copies of each summand; it acts freely on the injective
     maps and keeps their image.  Its proof
     sketch covers the slice (on an injective map the copies' maps of X_i
@@ -346,18 +339,18 @@ def hall_numbers_hom(ar: ARQuiver, n1: Representation, m: Representation,
     Aut(n1) acts freely and transitively on them, so every image must be
     reached by exactly |Aut(n1)| maps (else ``NonIntegralOrbitCount``).
     ``aut_order`` counts |Aut(n1)| with the same walker over End(n1), on
-    the same runs.  Raises ``ResourceBound`` when p^{dim Hom(n1, m)}
-    exceeds ``hom_bound`` or p^{dim End(n1)} exceeds ``aut_bound``.
+    the runs ``ar.class_module(a)`` records.  Raises ``ResourceBound`` when
+    p^{dim Hom(n1, m)} exceeds ``hom_bound`` or p^{dim End(n1)} exceeds
+    ``aut_bound``.
     """
     p = m.field.p
     frame = ar.hom_frame(m)
-    runs = _knitted_runs(ar, n1)
-    blocks = (hom_blocks(n1, m) if runs is None else
-              [(n, ar.vertices[k].rep.dims, frame.into_basis(k)) for k, n in runs])
-    h = sum(n * len(basis) for n, _, basis in blocks)
+    runs = sorted((ar.by_id[x].index, n) for x, n in a.items())
+    h = sum(n * len(frame.into_basis(k)) for k, n in runs)
     if p ** h > hom_bound:
         raise ResourceBound(
             f"hom enumeration needs {p}^{h} maps > bound {hom_bound}")
+    n1 = ar.class_module(a)
     aut = aut_order(n1, bound=aut_bound)
     rest = tuple(y - x for x, y in zip(n1.dims, m.dims))
     classes = ar.module_classes(rest)
@@ -366,9 +359,8 @@ def hall_numbers_hom(ar: ARQuiver, n1: Representation, m: Representation,
         raise NonUnitriangularHomMatrix(
             f"two classes of dimension vector {rest} share their out-of vector")
     every = range(len(ar.vertices))
-    images = (injective_images(m.dims, blocks, m.field) if runs is None else
-              tallied_images(m.dims, [(n, frame.tally(k, n)) for k, n in runs],
-                             m.field))
+    images = tallied_images(m.dims, [(n, frame.tally(k, n)) for k, n in runs],
+                            m.field)
     counts: dict[MultiplicityVector, int] = {}
     for key, maps in images.items():
         if maps != aut:
@@ -379,27 +371,16 @@ def hall_numbers_hom(ar: ARQuiver, n1: Representation, m: Representation,
     return counts
 
 
-def _knitted_runs(ar: ARQuiver, n1: Representation) -> list[tuple[int, int]] | None:
-    """``n1.runs`` as (knitted index k, multiplicity n) when it is recorded
-    and every summand is a knitted vertex X_k, else None (``reps.
-    hom_blocks`` then builds the blocks from Hom spaces)."""
-    runs = n1.runs
-    if runs is None:
-        return None
-    found = [ar.by_id.get(x.dim_id()) for x, _ in runs]
-    if any(v is None or v.rep is not x for v, (x, _) in zip(found, runs)):
-        return None
-    return [(v.index, n) for v, (_, n) in zip(found, runs)]
-
-
 def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
                     m: Representation, hom_bound: int = 1_000_000,
                     aut_bound: int = 1_000_000) -> int:
     """Submodules of m isomorphic to n1 with quotient isomorphic to n2 by
-    the hom oracle: the entry (class of n2) of ``hall_numbers_hom``."""
+    the hom oracle: the entry (class of n2) of the ``hall_numbers_hom``
+    row of the class of n1."""
     if not _dim_law_holds(n1, n2, m):
         return 0
-    row = hall_numbers_hom(ar, n1, m, hom_bound=hom_bound, aut_bound=aut_bound)
+    row = hall_numbers_hom(ar, ar.class_of(n1), m, hom_bound=hom_bound,
+                           aut_bound=aut_bound)
     return row.get(ar.class_of(n2), 0)
 
 
@@ -544,17 +525,6 @@ class HallPolynomial:
         self.validation_prime = validation_prime
         self.validation_count = validation_count
         self.excluded_primes = excluded_primes
-
-    def _fields(self) -> tuple:
-        return (self.coefficients, self.sub_class, self.quot_class,
-                self.total_class, self.degree_bound, self.primes, self.counts,
-                self.validation_prime, self.validation_count, self.excluded_primes)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, HallPolynomial) and other._fields() == self._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     def evaluate(self, t: int) -> int:
         acc = 0
@@ -856,8 +826,7 @@ def _oracle_equivalence_slice(spec: AlgebraSpec, p: int,
                 for a_mv in enumerate_module_classes(ar, e):
                     try:
                         hom_rows[a_mv] = hall_numbers_hom(
-                            ar, module(a_mv), m, hom_bound=hom_bound,
-                            aut_bound=aut_bound)
+                            ar, a_mv, m, hom_bound=hom_bound, aut_bound=aut_bound)
                     except ResourceBound:
                         skipped += len(quotients)
                 if not hom_rows:

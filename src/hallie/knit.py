@@ -42,13 +42,6 @@ class KnitConfig:
         self.max_vertices = max_vertices
         self.seed = seed
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, KnitConfig)
-                and (other.max_vertices, other.seed) == (self.max_vertices, self.seed))
-
-    def __hash__(self) -> int:
-        return hash((self.max_vertices, self.seed))
-
 
 class ARVertex:
     __slots__ = ("id", "index", "rep", "projective")
@@ -377,7 +370,7 @@ class ARQuiver:
     def class_module(self, mv) -> Representation:
         """The direct sum of the knitted indecomposables in mv, memoized
         per class, with its summands and their multiplicities recorded in
-        ``runs`` (the blocks of the hom oracle, ``reps.hom_blocks``)."""
+        ``runs`` (the blocks of ``reps.aut_order``, ``reps.hom_blocks``)."""
         m = self._modules.get(mv)
         if m is None:
             runs = tuple((v.rep, mv.get(v.id)) for v in self.vertices if mv.get(v.id))

@@ -130,15 +130,6 @@ class LieTable:
         self.totals = totals
         self.entries = entries
 
-    def _fields(self) -> tuple:
-        return (self.basis, self.dims, self.totals, self.entries)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LieTable) and other._fields() == self._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
     def bracket(self, x: str, y: str) -> tuple[str, int] | None:
         if x == y:
             return None
@@ -272,13 +263,6 @@ class RootSystem:
                  positive_roots: tuple[tuple[int, ...], ...]):
         self.cartan = cartan
         self.positive_roots = positive_roots
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, RootSystem) and (other.cartan, other.positive_roots)
-                == (self.cartan, self.positive_roots))
-
-    def __hash__(self) -> int:
-        return hash((self.cartan, self.positive_roots))
 
 
 def positive_roots(cartan: Sequence[Sequence[int]], cap: int = 10_000) -> RootSystem:

@@ -203,13 +203,6 @@ class RREF:
         self.rank = rank
         self.pivots = pivots
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, RREF) and (other.matrix, other.rank, other.pivots)
-                == (self.matrix, self.rank, self.pivots))
-
-    def __hash__(self) -> int:
-        return hash((self.matrix, self.rank, self.pivots))
-
 
 def echelon(rows: list[list[int]], p: int, inv: Sequence[int]) -> list[int]:
     """Reduce mutable rows of residues mod p to reduced row echelon form in

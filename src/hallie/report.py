@@ -11,13 +11,6 @@ class CheckResult:
         self.ok = ok
         self.detail = detail
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, CheckResult) and (other.name, other.ok, other.detail)
-                == (self.name, self.ok, self.detail))
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.ok, self.detail))
-
 
 class Report:
     __slots__ = ("checks",)

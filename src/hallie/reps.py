@@ -26,8 +26,9 @@ class Representation:
 
     ``runs`` is a known decomposition, ((X, n), ...) for X^n ⊕ ..., which
     ``ARQuiver.class_module`` records on the modules it builds; it is None
-    when none is known.  It is not part of ``key()`` or equality; the key
-    is kept once computed, as nothing changes ``dims`` or ``maps``.
+    when none is known; ``aut_order`` walks End(m) over its runs
+    (``hom_blocks``).  It is not part of ``key()`` or equality; the key is
+    kept once computed, as nothing changes ``dims`` or ``maps``.
     """
 
     __slots__ = ("spec", "field", "dims", "maps", "runs", "_key")
@@ -259,13 +260,6 @@ class ExtSpace:
         self.basis = basis
         self.hom_dim = hom_dim
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ExtSpace)
-                and (other.basis, other.hom_dim) == (self.basis, self.hom_dim))
-
-    def __hash__(self) -> int:
-        return hash((self.basis, self.hom_dim))
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -487,13 +481,6 @@ class SubspaceTuple:
         self.target = target
         self.bases = bases  # indexed like spec.vertices; e_x rows, d_x cols
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, SubspaceTuple)
-                and (other.target, other.bases) == (self.target, self.bases))
-
-    def __hash__(self) -> int:
-        return hash((self.target, self.bases))
-
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(b.nrows for b in self.bases)
@@ -511,15 +498,6 @@ class SubQuot:
         self.quot = quot
         self.inclusion = inclusion    # sub coords -> ambient coords (d x e)
         self.projection = projection  # ambient coords -> quotient coords ((d-e) x d)
-
-    def _fields(self) -> tuple:
-        return (self.sub, self.quot, self.inclusion, self.projection)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SubQuot) and other._fields() == self._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
 
 def restrict_to_subtuple(m: Representation, u: SubspaceTuple):

@@ -233,7 +233,7 @@ class TestRows:
         for b, e, subs, quots in _groups(ar, 3):
             m = module(b)
             for a in subs:
-                row = hall_numbers_hom(ar, module(a), m)
+                row = hall_numbers_hom(ar, a, m)
                 triples = {c: hall_number_hom(ar, module(a), module(c), m)
                            for c in quots}
                 assert row == {c: n for c, n in triples.items() if n}, \
@@ -577,8 +577,8 @@ class TestHomRuns:
     @pytest.mark.parametrize("p", [2, 3])
     def test_runs_match_one_block(self, algebras, monkeypatch, p):
         """The hom route over the runs of each class module against the
-        same modules without runs, walked as one block each (one map per
-        scalar orbit), on every triple of a2 up to total dimension 4."""
+        same modules without runs, which reach the walk through
+        ``class_of``, on every triple of a2 up to total dimension 4."""
         ar = knit(algebras["a2"], p)
         pairs = []
         for d in itertools.product(range(5), repeat=2):

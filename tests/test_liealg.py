@@ -2,7 +2,10 @@ import itertools
 
 import pytest
 
-from hallie.errors import NotFiniteType
+import hallie
+from hallie import liealg
+from hallie.cli import run
+from hallie.errors import NotClosedOnIndecomposables, NotFiniteType
 from hallie.liealg import (GradedVector, LieTable, compare_with_root_system,
                            enumerate_module_classes, euler_lie_table,
                            hall_lie_table, hall_product, jacobi_check,
@@ -149,6 +152,29 @@ class TestChecksCanFail:
                            {**lt.entries, (i, j): (target, -coeff)})
             failures = verify_isomorphism(kt, bad).failures()
             assert [c.name for c in failures] == [f"pair ({i}, {j})"]
+
+    @pytest.mark.parametrize("extra, reason", [
+        (SPLIT, "decomposable class"), (S1, "more than one class")],
+        ids=["decomposable", "two-units"])
+    def test_lie_closure_rejects_stray_term(self, families, monkeypatch, capsys,
+                                            extra, reason):
+        """A commutator with a term on a decomposable class, or spread over
+        two unit classes, fails the lie closure check: the table raises and
+        verify exits 1."""
+        real = liealg.hall_product
+
+        def corrupted(family, c, a):
+            out = real(family, c, a)
+            if (c, a) == (S2, S1):
+                out = out + GradedVector([(extra, 1)])
+            return out
+        monkeypatch.setattr(liealg, "hall_product", corrupted)
+        with pytest.raises(NotClosedOnIndecomposables, match=reason):
+            hall_lie_table(families["a2"])
+        code = run(["verify", "--algebra", hallie.example_algebra_path("a2")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "verification failure" in err and reason in err
 
 
 KNOWN_D4_ROOTS = {

@@ -191,6 +191,8 @@ def _all_paths(quiver: Quiver) -> list[Path]:
 
 
 def _path_from_ids(quiver: Quiver, ids: Sequence[str], where: str) -> Path:
+    if not isinstance(ids, list) or not all(isinstance(aid, str) for aid in ids):
+        raise ParseError(f"{where}: a path must be a list of arrow ids, got {ids!r}")
     if not ids:
         raise ParseError(f"{where}: empty path")
     arrows = {}
@@ -207,6 +209,14 @@ def _path_from_ids(quiver: Quiver, ids: Sequence[str], where: str) -> Path:
     return Path(tuple(ids), arrows[ids[-1]].source, arrows[ids[0]].target)
 
 
+def _entries(doc: dict, key: str) -> list:
+    """The list under ``key``, empty when the key is absent."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise ParseError(f"{key!r} must be a list, got {entries!r}")
+    return entries
+
+
 def parse_algebra(text: str) -> AlgebraSpec:
     """Parse and validate an algebra document; compute the path basis."""
     try:
@@ -219,16 +229,20 @@ def parse_algebra(text: str) -> AlgebraSpec:
     raw_vertices = doc.get("vertices")
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise ParseError("'vertices' must be a non-empty list")
-    vertices = tuple(str(v) for v in raw_vertices)
+    if not all(isinstance(v, str) for v in raw_vertices):
+        raise ParseError(f"vertex ids must be strings, got {raw_vertices!r}")
+    vertices = tuple(raw_vertices)
     if len(set(vertices)) != len(vertices):
         raise ParseError("duplicate vertex ids")
 
     arrows: list[Arrow] = []
     seen = set()
-    for entry in doc.get("arrows", []):
+    for entry in _entries(doc, "arrows"):
         if not isinstance(entry, dict) or not {"id", "from", "to"} <= set(entry):
             raise ParseError(f"arrow entry {entry!r} needs keys id/from/to")
-        aid, src, dst = str(entry["id"]), str(entry["from"]), str(entry["to"])
+        aid, src, dst = entry["id"], entry["from"], entry["to"]
+        if not all(isinstance(x, str) for x in (aid, src, dst)):
+            raise ParseError(f"arrow entry {entry!r}: id/from/to must be strings")
         if aid in seen:
             raise ParseError(f"duplicate arrow id {aid!r}")
         if src not in vertices or dst not in vertices:
@@ -239,7 +253,7 @@ def parse_algebra(text: str) -> AlgebraSpec:
     topo = _toposort(vertices, arrows)
 
     relations: list[Relation] = []
-    for entry in doc.get("relations", []):
+    for entry in _entries(doc, "relations"):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise ParseError(f"relation entry {entry!r} needs a 'kind'")
         kind = entry["kind"]

@@ -34,9 +34,11 @@ counting routes are provided, and each answers a whole row at once:
   n_i-dimensional subspace of Hom(X_i, m) per distinct summand, weighted
   by the orbit size, walked one row at a time against an incremental
   echelon so that a row falling in the span of the rows above it cuts off
-  the subtree; m's ``HomFrame`` keeps the walk of each summand X_i^{n_i}.  Each distinct image is classified once, by the
-  out-of vector of its cokernel on every knitted vertex, and must be
-  reached by exactly |Aut(a)| maps.  It is the independent oracle of
+  the subtree; m's ``HomFrame`` keeps the walk of each summand X_i^{n_i}.
+  Each distinct image is classified once, by the out-of vector of its
+  cokernel on every knitted vertex, and must be reached by exactly
+  |Aut(a)| maps, the closed form ``ARQuiver.class_aut_order`` that the
+  Ext route divides by.  It is the independent oracle of
   ``check_oracle_equivalence``, which compares all three routes.
 
 ``hall_number_grass`` and ``hall_number_hom`` answer one triple by looking
@@ -79,8 +81,8 @@ from .knit import ARQuiver, KnitConfig, knit
 from .linalg import (FMatrix, gaussian_binomial, intersect_subspaces, is_prime,
                      preimage_subspace, row_space, scalar_orbits, subspaces_between,
                      tallied_images)
-from .reps import (MultiplicityVector, Representation, SubspaceTuple, aut_order,
-                   ext_space, hom_dim, middle_term)
+from .reps import (MultiplicityVector, Representation, SubspaceTuple, ext_space,
+                   hom_dim, middle_term)
 
 
 class HallConfig:
@@ -309,20 +311,19 @@ def hall_number_grass(ar: ARQuiver, n1: Representation, n2: Representation,
 
 
 def hall_numbers_hom(ar: ARQuiver, a: MultiplicityVector, m: Representation,
-                     hom_bound: int = 1_000_000, aut_bound: int = 1_000_000
-                     ) -> dict[MultiplicityVector, int]:
-    """The same numbers through injective homomorphisms n1 -> m, n1 the
+                     hom_bound: int = 1_000_000) -> dict[MultiplicityVector, int]:
+    """The same numbers through injective homomorphisms n1 -> m, n1 a
     module of class a, for every quotient class at once: {c: number of
     images U of injective maps with m/U of class c}.
 
     ``linalg.tallied_images`` walks Hom(n1, m) one orbit of
     G = Π GL_{n_i}(F_p) at a time, for a = ⊕ X_i^{n_i} read off
     ``a.items()`` in knitted order, with a basis of Hom(X_i, m) per
-    distinct summand from m's Hom bases.  The walk of each run X_i^{n_i}
-    depends only on X_i, n_i and m, so m's frame keeps it
-    (``HomFrame.tally``) and the runs are added in knitted order.
-    G mixes the copies of each summand; it acts freely on the injective
-    maps and keeps their image.  Its proof
+    distinct summand from m's Hom bases, so n1 itself is never built.
+    The walk of each run X_i^{n_i} depends only on X_i, n_i and m, so m's
+    frame keeps it (``HomFrame.tally``) and the runs are added in knitted
+    order.  G mixes the copies of each summand; it acts freely on the
+    injective maps and keeps their image.  Its proof
     sketch covers the slice (on an injective map the copies' maps of X_i
     are independent, so each orbit has one member whose copies are the
     reduced echelon basis of an n_i-dimensional subspace of Hom(X_i, m))
@@ -337,11 +338,10 @@ def hall_numbers_hom(ar: ARQuiver, a: MultiplicityVector, m: Representation,
     Checked at run time: the injective maps with image U are the
     isomorphisms n1 -> U followed by the inclusion, and precomposition by
     Aut(n1) acts freely and transitively on them, so every image must be
-    reached by exactly |Aut(n1)| maps (else ``NonIntegralOrbitCount``).
-    ``aut_order`` counts |Aut(n1)| with the same walker over End(n1), on
-    the runs ``ar.class_module(a)`` records.  Raises ``ResourceBound`` when
-    p^{dim Hom(n1, m)} exceeds ``hom_bound`` or p^{dim End(n1)} exceeds
-    ``aut_bound``.
+    reached by exactly |Aut(n1)| maps (else ``NonIntegralOrbitCount``),
+    the closed form ``ARQuiver.class_aut_order`` that the Ext route
+    divides by.  Raises ``ResourceBound`` when p^{dim Hom(n1, m)} exceeds
+    ``hom_bound``.
     """
     p = m.field.p
     frame = ar.hom_frame(m)
@@ -350,9 +350,8 @@ def hall_numbers_hom(ar: ARQuiver, a: MultiplicityVector, m: Representation,
     if p ** h > hom_bound:
         raise ResourceBound(
             f"hom enumeration needs {p}^{h} maps > bound {hom_bound}")
-    n1 = ar.class_module(a)
-    aut = aut_order(n1, bound=aut_bound)
-    rest = tuple(y - x for x, y in zip(n1.dims, m.dims))
+    aut = ar.class_aut_order(a)
+    rest = tuple(y - x for x, y in zip(ar.class_dim_vector(a), m.dims))
     classes = ar.module_classes(rest)
     quotients = {tuple(ar.hom_vectors(c)[1]): c for c in classes}
     if len(quotients) != len(classes):
@@ -372,15 +371,13 @@ def hall_numbers_hom(ar: ARQuiver, a: MultiplicityVector, m: Representation,
 
 
 def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
-                    m: Representation, hom_bound: int = 1_000_000,
-                    aut_bound: int = 1_000_000) -> int:
+                    m: Representation, hom_bound: int = 1_000_000) -> int:
     """Submodules of m isomorphic to n1 with quotient isomorphic to n2 by
     the hom oracle: the entry (class of n2) of the ``hall_numbers_hom``
     row of the class of n1."""
     if not _dim_law_holds(n1, n2, m):
         return 0
-    row = hall_numbers_hom(ar, ar.class_of(n1), m, hom_bound=hom_bound,
-                           aut_bound=aut_bound)
+    row = hall_numbers_hom(ar, ar.class_of(n1), m, hom_bound=hom_bound)
     return row.get(ar.class_of(n2), 0)
 
 
@@ -773,7 +770,6 @@ class OracleEquivalenceReport:
 
 def check_oracle_equivalence(spec: AlgebraSpec, primes: Sequence[int],
                              max_total_dim: int, hom_bound: int = 1_000_000,
-                             aut_bound: int = 1_000_000,
                              jobs: int = 1) -> OracleEquivalenceReport:
     """Compare the three counting routes on every triple of module classes
     whose members each have total dimension at most ``max_total_dim``.
@@ -783,66 +779,51 @@ def check_oracle_equivalence(spec: AlgebraSpec, primes: Sequence[int],
     of b, with rows over every (a, c) of each shape.  That walk runs on the
     first shape of b with an a that is not skipped and takes in every
     shape, those whose hom rows are all skipped too; its cap bounds the
-    whole walk.  The resource bounds of the hom oracle depend on (b, a)
-    only (p^{dim Hom(a, b)} and p^{dim End(a)}), so when the hom row of
-    (b, a) exceeds them every triple (a, c, b) is recorded as skipped (the
-    hom oracle's precondition fails there) and no route counts it.  On
-    every other triple the grass and hom counts must agree exactly, and so
-    must the Ext route's (walked once per (a, c) on the prime's quiver).
-    A mismatch is recorded as (p, a, c, b, grass, hom, ext).  The sweep
-    runs in one process: ``jobs`` must be 1.
+    whole walk.  The resource bound of the hom oracle depends on (b, a)
+    only (p^{dim Hom(a, b)}), so when the hom row of (b, a) exceeds it
+    every triple (a, c, b) is recorded as skipped (the hom oracle's
+    precondition fails there) and no route counts it.  On every other
+    triple the grass and hom counts must agree exactly, and so must the
+    Ext route's (walked once per (a, c) on the prime's quiver).  A
+    mismatch is recorded as (p, a, c, b, grass, hom, ext).  The sweep runs
+    in one process: ``jobs`` must be 1.
     """
+    from .liealg import enumerate_module_classes
+
     if jobs != 1:
         raise ValueError("jobs must be 1: the oracle sweep runs in one process")
     dim_vectors = [d for d in itertools.product(
         *(range(max_total_dim + 1) for _ in spec.vertices))
         if 0 < sum(d) <= max_total_dim]
-    results = [_oracle_equivalence_slice(spec, p, dim_vectors, hom_bound, aut_bound)
-               for p in primes]
-    compared = sum(r[0] for r in results)
-    nonzero = sum(r[1] for r in results)
-    skipped = sum(r[2] for r in results)
-    mismatches = sorted(m for r in results for m in r[3])
-    return OracleEquivalenceReport(compared, nonzero, skipped, mismatches)
-
-
-def _oracle_equivalence_slice(spec: AlgebraSpec, p: int,
-                              dim_vectors: Sequence[tuple[int, ...]],
-                              hom_bound: int, aut_bound: int
-                              ) -> tuple[int, int, int, list]:
-    from .liealg import enumerate_module_classes
-
-    ar = knit(spec, p)
-    module = ar.class_module
     compared = nonzero = skipped = 0
     mismatches = []
-    for d in dim_vectors:
-        for b in enumerate_module_classes(ar, d):
-            m = module(b)
-            for e in itertools.product(*(range(x + 1) for x in d)):
-                rest = tuple(x - y for x, y in zip(d, e))
-                quotients = enumerate_module_classes(ar, rest)
-                hom_rows = {}
-                for a_mv in enumerate_module_classes(ar, e):
-                    try:
-                        hom_rows[a_mv] = hall_numbers_hom(
-                            ar, a_mv, m, hom_bound=hom_bound, aut_bound=aut_bound)
-                    except ResourceBound:
-                        skipped += len(quotients)
-                if not hom_rows:
-                    continue
-                grass_row = hall_numbers_grass(ar, m, e)
-                for a_mv, hom_row in hom_rows.items():
-                    for c_mv in quotients:
-                        grass = grass_row.get((a_mv, c_mv), 0)
-                        hom = hom_row.get(c_mv, 0)
-                        compared += 1
-                        if grass:
-                            nonzero += 1
-                        ext = ext_hall_number(ar, a_mv, c_mv, b)
-                        if grass != hom or ext != grass:
-                            mismatches.append(
-                                (p, a_mv.render(), c_mv.render(), b.render(),
-                                 grass, hom, ext))
-            ar.forget(m)
-    return compared, nonzero, skipped, mismatches
+    for p in primes:
+        ar = knit(spec, p)
+        for d in dim_vectors:
+            for b in enumerate_module_classes(ar, d):
+                m = ar.class_module(b)
+                for e in itertools.product(*(range(x + 1) for x in d)):
+                    rest = tuple(x - y for x, y in zip(d, e))
+                    quotients = enumerate_module_classes(ar, rest)
+                    hom_rows = {}
+                    for a in enumerate_module_classes(ar, e):
+                        try:
+                            hom_rows[a] = hall_numbers_hom(ar, a, m, hom_bound)
+                        except ResourceBound:
+                            skipped += len(quotients)
+                    if not hom_rows:
+                        continue
+                    grass_row = hall_numbers_grass(ar, m, e)
+                    for a, hom_row in hom_rows.items():
+                        for c in quotients:
+                            grass = grass_row.get((a, c), 0)
+                            hom = hom_row.get(c, 0)
+                            compared += 1
+                            if grass:
+                                nonzero += 1
+                            ext = ext_hall_number(ar, a, c, b)
+                            if grass != hom or ext != grass:
+                                mismatches.append((p, a.render(), c.render(),
+                                                   b.render(), grass, hom, ext))
+                ar.forget(m)
+    return OracleEquivalenceReport(compared, nonzero, skipped, sorted(mismatches))

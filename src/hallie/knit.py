@@ -21,7 +21,7 @@ path basis.  Vertex ids are the dimension vectors rendered as
 from __future__ import annotations
 
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .algebra import AlgebraSpec, projective_rep
 from .errors import (EtaNotInjective, FieldDependenceDetected, IsProjective,
@@ -127,7 +127,6 @@ class ARQuiver:
         self._aut_orders: dict[MultiplicityVector, int] = {}
         self._identified: dict[Representation, MultiplicityVector] = {}
         self._frames: dict[Representation, HomFrame] = {}
-        self._frame_rows: dict[tuple, tuple] = {}
         self._distinguishing: dict[tuple, tuple[tuple[int, ...], dict]] = {}
         self._modules: dict[MultiplicityVector, Representation] = {}
         self.ext_tables: dict[tuple[MultiplicityVector, MultiplicityVector],
@@ -312,8 +311,7 @@ class ARQuiver:
         module."""
         frame = self._frames.get(m)
         if frame is None:
-            frame = self._frames[m] = HomFrame(m, [v.rep for v in self.vertices],
-                                               self._frame_rows)
+            frame = self._frames[m] = HomFrame(m, [v.rep for v in self.vertices])
         return frame
 
     def forget(self, m: Representation) -> None:
@@ -368,16 +366,13 @@ class ARQuiver:
         return found
 
     def class_module(self, mv) -> Representation:
-        """The direct sum of the knitted indecomposables in mv, memoized
-        per class, with its summands and their multiplicities recorded in
-        ``runs`` (the blocks of ``reps.aut_order``, ``reps.hom_blocks``)."""
+        """The direct sum of the knitted indecomposables in mv, in knitted
+        order with each repeated by its multiplicity, memoized per class."""
         m = self._modules.get(mv)
         if m is None:
-            runs = tuple((v.rep, mv.get(v.id)) for v in self.vertices if mv.get(v.id))
-            m = direct_sum(self.spec, self.field,
-                           [x for x, n in runs for _ in range(n)])
-            m.runs = runs
-            self._modules[mv] = m
+            m = self._modules[mv] = direct_sum(
+                self.spec, self.field,
+                [v.rep for v in self.vertices for _ in range(mv.get(v.id))])
         return m
 
 
@@ -410,11 +405,10 @@ class HomFrame:
     uniquely for the multiplicities.
     """
 
-    __slots__ = ("m", "xs", "shared", "p", "inv", "_into", "_outof", "_tallies")
+    __slots__ = ("m", "xs", "p", "inv", "_into", "_outof", "_tallies")
 
-    def __init__(self, m: Representation, xs: Sequence[Representation],
-                 shared: dict[tuple, tuple]):
-        self.m, self.xs, self.shared = m, xs, shared
+    def __init__(self, m: Representation, xs: Sequence[Representation]):
+        self.m, self.xs = m, xs
         self.p, self.inv = m.field.p, m.field.inverses
         self._into: list[list | None] = [None] * len(xs)
         self._outof: list[list | None] = [None] * len(xs)
@@ -425,18 +419,16 @@ class HomFrame:
         vertex, the rows of fᵀ (the images of a basis of (X_k)_i), as
         ``linalg.injective_images`` takes them."""
         if self._into[k] is None:
-            self._into[k] = self._keep(
-                (f[v].transpose().rows for v in self.m.spec.vertices)
-                for f in hom_space(self.xs[k], self.m))
+            self._into[k] = [tuple(f[v].transpose().rows for v in self.m.spec.vertices)
+                             for f in hom_space(self.xs[k], self.m)]
         return self._into[k]
 
     def outof_basis(self, k: int) -> list:
         """A basis of Hom(m, X_k), computed on first use: per map g, per
         vertex, the rows of g."""
         if self._outof[k] is None:
-            self._outof[k] = self._keep(
-                (g[v].rows for v in self.m.spec.vertices)
-                for g in hom_space(self.m, self.xs[k]))
+            self._outof[k] = [tuple(g[v].rows for v in self.m.spec.vertices)
+                              for g in hom_space(self.m, self.xs[k])]
         return self._outof[k]
 
     def tally(self, k: int, n: int) -> dict:
@@ -446,18 +438,6 @@ class HomFrame:
             tally = self._tallies[(k, n)] = _block_tally(
                 n, self.xs[k].dims, self.into_basis(k), self.m.dims, self.m.field)
         return tally
-
-    def _keep(self, maps: Iterable[Iterable[tuple]]) -> list[tuple]:
-        """maps, with every tuple of rows replaced by an equal one that a
-        frame of the same quiver already holds: the bases of the class
-        modules repeat a few distinct rows, so the memo stays small."""
-        share = self.shared.setdefault
-        out = []
-        for f in maps:
-            f = tuple(share(rows, rows) for rows in
-                      (tuple(share(row, row) for row in rows) for rows in f))
-            out.append(share(f, f))
-        return out
 
     def into_vector(self, sub: Sequence[Sequence[Sequence[int]]],
                     coords: Sequence[int]) -> list[int]:

@@ -13,7 +13,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from .errors import (DecompositionBudgetExceeded, NegativeMultiplicity,
                      NonUnitriangularHomMatrix, NotClosed, ResourceBound)
 from .linalg import (FMatrix, PrimeField, coords_in_rowspace, echelon,
-                     injective_images, row_space, rref, solve_nullspace)
+                     injective_images, quotient_projection, row_space, rref,
+                     solve_nullspace)
 
 if TYPE_CHECKING:
     from .algebra import AlgebraSpec
@@ -24,14 +25,11 @@ class Representation:
     """A module over the instantiated algebra: one matrix per arrow plus a
     dimension vector (indexed by the quiver's vertex order).
 
-    ``runs`` is a known decomposition, ((X, n), ...) for X^n ⊕ ..., which
-    ``ARQuiver.class_module`` records on the modules it builds; it is None
-    when none is known; ``aut_order`` walks End(m) over its runs
-    (``hom_blocks``).  It is not part of ``key()`` or equality; the key is
-    kept once computed, as nothing changes ``dims`` or ``maps``.
+    Equality and hashing go by ``key()``, which is kept once computed, as
+    nothing changes ``dims`` or ``maps``.
     """
 
-    __slots__ = ("spec", "field", "dims", "maps", "runs", "_key")
+    __slots__ = ("spec", "field", "dims", "maps", "_key")
 
     def __init__(self, spec: "AlgebraSpec", field: PrimeField,
                  dims: Sequence[int], maps: Mapping[str, FMatrix]):
@@ -49,7 +47,6 @@ class Representation:
                 raise ValueError(f"arrow {a.id!r}: matrix {m.shape} != {want}")
             checked[a.id] = m
         self.maps = checked
-        self.runs: tuple[tuple[Representation, int], ...] | None = None
         self._key: tuple | None = None
 
     @property
@@ -532,54 +529,25 @@ def quotient_by_subtuple(m: Representation, u: SubspaceTuple):
     """The quotient representation in the fixed complement basis (ambient
     coordinates at the non-pivot columns of each subspace basis).
 
-    Returns (quot, projection).  Assumes the tuple is arrow-stable.
+    Returns (quot, projection): the projection at each vertex is
+    ``linalg.quotient_projection`` of its basis, and the map of an arrow
+    s -> t is the projected image P_t · M_a restricted to the complement
+    columns of s.  Assumes the tuple is arrow-stable.
     """
-    spec, field, p = m.spec, m.field, m.field.p
-    verts = spec.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    pivots = {}
+    spec, field = m.spec, m.field
+    index = {v: i for i, v in enumerate(spec.vertices)}
+    projection = {v: quotient_projection(u.bases[i]) for v, i in index.items()}
     complements = {}
-    for v in verts:
-        pv = _rref_pivots(u.bases[index[v]])
-        pivots[v] = pv
-        complements[v] = [j for j in range(m.dims[index[v]]) if j not in set(pv)]
-
-    def reduce_vec(v: str, vec: Sequence[int]) -> list[int]:
-        out = list(vec)
-        basis = u.bases[index[v]]
-        for i, c in enumerate(pivots[v]):
-            coeff = out[c] % p
-            if coeff:
-                row = basis.rows[i]
-                for j, val in enumerate(row):
-                    out[j] = (out[j] - coeff * val) % p
-        return [x % p for x in out]
-
-    quot_dims = tuple(len(complements[v]) for v in verts)
+    for v, i in index.items():
+        pivots = set(_rref_pivots(u.bases[i]))
+        complements[v] = [j for j in range(m.dims[i]) if j not in pivots]
     maps = {}
     for a in spec.quiver.arrows:
-        s, t = a.source, a.target
-        cols = []
-        for j in complements[s]:
-            vec = [0] * m.dims[index[s]]
-            vec[j] = 1
-            image = reduce_vec(t, m.maps[a.id].apply(vec))
-            cols.append([image[k] for k in complements[t]])
-        rows = tuple(tuple(col[i] for col in cols) for i in range(len(complements[t])))
-        maps[a.id] = FMatrix(field, len(complements[t]), len(complements[s]), rows)
-    quot = Representation(spec, field, quot_dims, maps)
-
-    projection = {}
-    for v in verts:
-        d = m.dims[index[v]]
-        cols = []
-        for k in range(d):
-            vec = [0] * d
-            vec[k] = 1
-            red = reduce_vec(v, vec)
-            cols.append([red[j] for j in complements[v]])
-        rows = tuple(tuple(col[i] for col in cols) for i in range(len(complements[v])))
-        projection[v] = FMatrix(field, len(complements[v]), d, rows)
+        cols = complements[a.source]
+        image = projection[a.target].mul(m.maps[a.id])
+        maps[a.id] = FMatrix(field, image.nrows, len(cols),
+                             tuple(tuple(row[j] for j in cols) for row in image.rows))
+    quot = Representation(spec, field, [len(complements[v]) for v in index], maps)
     return quot, projection
 
 
@@ -829,42 +797,26 @@ def matches_class(m: Representation, ar: "ARQuiver",
     return True
 
 
-_AUT_CACHE: dict[tuple, tuple[int, int]] = {}
-
-
 def _hom_block(n: int, x: Representation, maps: list[dict[str, FMatrix]]) -> tuple:
     """n copies of x, with ``maps`` out of x as rows of fᵀ: one block of
     ``linalg.injective_images``."""
     return (n, x.dims, [[f[v].transpose().rows for v in x.spec.vertices] for f in maps])
 
 
-def hom_blocks(n1: Representation, m: Representation) -> list[tuple]:
-    """Hom(n1, m) as the blocks of ``linalg.injective_images``: one per run
-    X^n of ``n1.runs``, with a basis of Hom(X, m), or n1 itself once when
-    no decomposition is known."""
-    return [_hom_block(n, x, hom_space(x, m)) for x, n in n1.runs or ((n1, 1),)]
-
-
 def aut_order(m: Representation, bound: int = 1_000_000) -> int:
-    """Order of the automorphism group: the injective endomorphisms of m,
-    counted by ``linalg.injective_images`` over the blocks of End(m)
-    (``hom_blocks``), one map per orbit of Π GL_n(F_p) over the runs of m.
-    Raises ``ResourceBound`` when p^{dim End(m)} exceeds ``bound``, also
-    when the count is memoized."""
-    key = m.key()
-    cached = _AUT_CACHE.get(key)
-    if cached is None:
-        blocks = hom_blocks(m, m)
-        h = sum(n * len(basis) for n, _, basis in blocks)
-    else:
-        h, count = cached
+    """Order of the automorphism group: the injective maps into m from
+    the summands X^n that ``decompose(m)`` returns, whose sum is isomorphic
+    to m, counted by ``linalg.injective_images`` with one block
+    (n, a basis of Hom(X, m)) per summand, one map per orbit of
+    Π GL_n(F_p).  An injective map between modules of one dimension is an
+    isomorphism, and the isomorphisms from a fixed module onto m are as
+    many as Aut(m).  Raises ``ResourceBound`` when p^{dim End(m)} exceeds
+    ``bound``.  It is the tests' reference for the closed form
+    ``ARQuiver.class_aut_order``, which the counting routes use."""
+    blocks = [_hom_block(n, x, hom_space(x, m)) for x, n in decompose(m)]
+    h = sum(n * len(basis) for n, _, basis in blocks)
     p = m.field.p
     if p ** h > bound:
         raise ResourceBound(
             f"automorphism enumeration needs {p}^{h} endomorphisms > bound {bound}")
-    if cached is None:
-        count = sum(injective_images(m.dims, blocks, m.field).values())
-        if len(_AUT_CACHE) > 10_000:
-            _AUT_CACHE.clear()
-        _AUT_CACHE[key] = (h, count)
-    return count
+    return sum(injective_images(m.dims, blocks, m.field).values())

@@ -92,6 +92,21 @@ class TestParsing:
             parse_algebra(doc(["1", "1"], []))
         with pytest.raises(ParseError):
             parse_algebra(doc(["1"], [{"id": "a", "from": "1", "to": "9"}]))
+        for arrows in (5, None):
+            with pytest.raises(ParseError, match="'arrows' must be a list"):
+                parse_algebra(json.dumps({"vertices": ["1"], "arrows": arrows}))
+        with pytest.raises(ParseError, match="'relations' must be a list"):
+            parse_algebra(json.dumps({"vertices": ["1"], "relations": None}))
+        with pytest.raises(ParseError, match="vertex ids must be strings"):
+            parse_algebra(doc(["1", 2], []))
+        for arrow in ({"id": 7, "from": "1", "to": "2"},
+                      {"id": "a", "from": 1, "to": "2"}):
+            with pytest.raises(ParseError, match="must be strings"):
+                parse_algebra(doc(["1", "2"], [arrow]))
+        edge = [{"id": "a", "from": "1", "to": "2"}]
+        for path in (5, ["a", ["x"]], "a", [1]):
+            with pytest.raises(ParseError, match="list of arrow ids"):
+                parse_algebra(doc(["1", "2"], edge, [{"kind": "zero", "path": path}]))
 
     def test_rejects_unknown_arrow_in_relation(self):
         with pytest.raises(ParseError):

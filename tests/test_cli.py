@@ -170,6 +170,13 @@ class TestErrorPaths:
         assert code == 2
         assert "cycle" in err
 
+    def test_malformed_arrows_are_an_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "arrows.json"
+        bad.write_text(json.dumps({"vertices": ["1", "2"], "arrows": 5}))
+        code, _, err = invoke(capsys, "verify", "--algebra", str(bad))
+        assert code == 2
+        assert "'arrows' must be a list" in err
+
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "knit", "--algebra", "/nonexistent.json")
         assert code == 2

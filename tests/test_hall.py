@@ -19,9 +19,8 @@ from hallie.knit import ARQuiver, ARVertex, knit
 from hallie.linalg import scalar_orbits
 from hallie.liealg import hall_lie_table
 from hallie.reps import (ExtSpace, MultiplicityVector, Representation, direct_sum,
-                         hom_blocks, hom_dim, identify, matches_class,
-                         quotient_by_subtuple, restrict_to_subtuple, simple_rep,
-                         sub_quotient)
+                         hom_dim, identify, matches_class, quotient_by_subtuple,
+                         restrict_to_subtuple, simple_rep, sub_quotient)
 
 
 S1, S2, P1 = (MultiplicityVector.unit(vid) for vid in ("1-0", "0-1", "1-1"))
@@ -247,8 +246,8 @@ class TestRows:
         mixed = 0
         for b, e, subs, _ in _groups(ar, 3):
             m = ar.class_module(b)
-            over = [2 ** sum(n * len(basis) for n, _, basis in
-                             hom_blocks(ar.class_module(a), m)) > 4 for a in subs]
+            over = [2 ** sum(n * hom_dim(ar.vertex(x).rep, m) for x, n in a.items()) > 4
+                    for a in subs]
             mixed += any(over) and not all(over)
         assert mixed > 0
         rep = check_oracle_equivalence(spec, (2, 3), 3, hom_bound=4)
@@ -557,28 +556,49 @@ class TestOracleEquivalenceReport:
     @pytest.mark.parametrize("sub,quot,total", [
         (S2, S1, P1), (S1, S1, S1 + S1), (S1 + S1, S1, S1 + S1 + S1),
         (S1, S1 + S1, S1 + S1 + S1)])
-    def test_images_reached_by_other_than_aut_maps_raise(self, algebras, monkeypatch,
-                                                         sub, quot, total):
+    def test_images_reached_by_other_than_aut_maps_raise(self, algebras, sub, quot,
+                                                         total):
         """Every image of an injective map is reached by exactly |Aut n1|
-        maps; with |Aut| doctored to twice its value the hom route must
-        raise.  On S1 ⊂ S1 + S1 at p = 3 the doctored total 4·2 would still
-        divide by 2·2.  S1² ⊂ S1³ walks a block of multiplicity 2, one
-        map per orbit of GL_2(F_3)."""
+        maps, the closed form ``class_aut_order``; with it doctored to
+        twice its value on the sub class the hom route must raise.  On
+        S1 ⊂ S1 + S1 at p = 3 the doctored total 4·2 would still divide by
+        2·2.  S1² ⊂ S1³ walks a block of multiplicity 2, one map per orbit
+        of GL_2(F_3)."""
         ar = knit(algebras["a2"], 3)
         n1, n2, m = (ar.class_module(mv) for mv in (sub, quot, total))
         assert hall_number_hom(ar, n1, n2, m) > 0
-        real = hall.aut_order
-        monkeypatch.setattr(hall, "aut_order", lambda rep, bound: 2 * real(rep, bound))
+        real = ar.class_aut_order
+        ar.class_aut_order = lambda mv: real(mv) * (2 if mv == sub else 1)
         with pytest.raises(NonIntegralOrbitCount):
             hall_number_hom(ar, n1, n2, m)
 
+    def test_sub_class_with_a_large_endomorphism_ring_is_walked(self, algebras):
+        """S2³ ⊕ S1² has p^{dim End} = 3^13 > 10^6 at p = 3, but
+        p^{dim Hom} = 3^9 into S2 ⊕ P1²; the hom route reads |Aut| in closed
+        form and walks it.  S1 does not embed in S2 ⊕ P1², so the row is
+        empty, as the subspace route's entry is."""
+        ar = knit(algebras["a2"], 3)
+        a = MultiplicityVector({"0-1": 3, "1-0": 2})
+        b = MultiplicityVector({"0-1": 1, "1-1": 2})
+        m = ar.class_module(b)
+        into = ar.hom_vectors(a)[0]
+        assert 3 ** sum(n * into[ar.order.index(x)] for x, n in a.items()) > 10 ** 6
+        assert hall_numbers_hom(ar, a, m) == {}
+        assert hall_numbers_grass(ar, m, (2, 3)).get((a, MultiplicityVector.zero()),
+                                                     0) == 0
+
 
 class TestHomRuns:
+    """The hom route walks the runs X^n of the sub class, read off the
+    multiplicity vector, not off the module it is handed."""
+
     @pytest.mark.parametrize("p", [2, 3])
-    def test_runs_match_one_block(self, algebras, monkeypatch, p):
-        """The hom route over the runs of each class module against the
-        same modules without runs, which reach the walk through
-        ``class_of``, on every triple of a2 up to total dimension 4."""
+    def test_runs_match_one_block(self, algebras, p):
+        """``hall_number_hom`` handed the class module of each sub class
+        and handed an equal module built apart give the same counts and
+        the same skips, on every triple of a2 up to total dimension 4,
+        some with a summand of multiplicity above 1: the route keys the
+        sub by its class (``class_of``), never by the object."""
         ar = knit(algebras["a2"], p)
         pairs = []
         for d in itertools.product(range(5), repeat=2):
@@ -608,7 +628,6 @@ class TestHomRuns:
             return out
 
         with_runs = counts(ar.class_module)
-        monkeypatch.setattr(reps, "_AUT_CACHE", {})
         assert counts(stripped) == with_runs
         assert sum(n is not None for n in with_runs) > 100
         assert any(n > 1 for (a_mv, _, _), count in zip(pairs, with_runs)

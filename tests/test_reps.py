@@ -260,39 +260,39 @@ class TestAutOrder:
         assert aut_order(projective_rep(a2, "1", 5)) == 4
 
     def test_bound_is_checked_on_a_memoized_count(self, a2):
-        """p^{dim End} = 3^9 for S1³ at p = 3: a count memoized under a
-        loose bound must not slip past a tight one."""
+        """p^{dim End} = 3^9 for S1³ at p = 3: counted under a loose bound,
+        and refused under a tight one on the next call."""
         s1 = simple_rep(a2, "1", 3)
         m = direct_sum(a2, s1.field, [s1, s1, s1])
         assert aut_order(m, bound=10 ** 6) == 11232  # |GL_3(F_3)|
         with pytest.raises(ResourceBound):
             aut_order(m, bound=100)
 
-    def test_runs_do_not_change_the_count(self, a2, monkeypatch):
-        """The walk over the runs of a class module against the walk over
-        End(m) as one block, on the same module without its runs."""
+    def test_runs_do_not_change_the_count(self, a2):
+        """The walk over the summands ``decompose`` finds, on a class
+        module and on an equal module built apart, against the closed form
+        of the class and the count by hand."""
         ar = knit(a2, 3)
-        m = ar.class_module(MultiplicityVector({"0-1": 1, "1-1": 1, "1-0": 2}))
+        mv = MultiplicityVector({"0-1": 1, "1-1": 1, "1-0": 2})
+        m = ar.class_module(mv)
         bare = Representation(a2, m.field, m.dims, m.maps)
-        assert sorted(n for _, n in m.runs) == [1, 1, 2] and bare.runs is None
-        assert bare == m
-        with_runs = aut_order(m)
-        monkeypatch.setattr(reps, "_AUT_CACHE", {})
+        assert sorted(n for _, n in decompose(bare)) == [1, 1, 2]
+        assert bare == m and bare is not m
         # |Aut| = 3^{end − Σ n²} · 2 · 2 · |GL_2(F_3)|, with end = 9
-        assert aut_order(bare) == with_runs == 3 ** 3 * 2 * 2 * 48
+        assert aut_order(bare) == aut_order(m) == ar.class_aut_order(mv) \
+            == 3 ** 3 * 2 * 2 * 48
 
 
 class TestCachedHashes:
     def test_representation_key_is_kept_and_fresh(self, a2):
-        """The kept key equals one computed anew, ``runs`` stays outside
-        it, and equal modules built apart hash equal."""
+        """The kept key equals one computed anew, and equal modules built
+        apart hash equal."""
         field = PrimeField(3)
         parts = [simple_rep(a2, "1", 3), simple_rep(a2, "2", 3)]
         m, twin = (direct_sum(a2, field, parts) for _ in range(2))
         h = hash(m)
         assert m.key() is m.key()
         assert m.key() == (3, m.dims, tuple(sorted((a, x.rows) for a, x in m.maps.items())))
-        m.runs = ((parts[0], 1), (parts[1], 1))
         assert m == twin and hash(m) == hash(twin) == h
         assert hash(direct_sum(a2, field, parts[::-1])) == h
 

@@ -66,7 +66,6 @@ action of the scalars on injections and surjections.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -95,24 +94,15 @@ class HallConfig:
         self.max_vertices = max_vertices
 
 
-def primes_from(start_after: int = 1) -> Iterator[int]:
-    n = max(start_after, 1)
-    while True:
-        n += 1
-        if is_prime(n):
-            yield n
-
-
 def first_primes(count: int, excluded: Sequence[int] = ()) -> list[int]:
-    """The first ``count`` primes not in ``excluded``; each call returns a
-    fresh list of a tuple memoized per (count, excluded)."""
-    return list(_first_primes(count, tuple(excluded)))
-
-
-@functools.lru_cache(maxsize=None)
-def _first_primes(count: int, excluded: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(itertools.islice((p for p in primes_from() if p not in excluded),
-                                  count))
+    """The first ``count`` primes not in ``excluded``, as a fresh list."""
+    primes: list[int] = []
+    n = 1
+    while len(primes) < count:
+        n += 1
+        if n not in excluded and is_prime(n):
+            primes.append(n)
+    return primes
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from .algebra import AlgebraSpec, projective_rep
 from .errors import (EtaNotInjective, FieldDependenceDetected, IsProjective,
                      NonUnitriangularHomMatrix, NotDirected,
                      NotRepresentationFinite)
-from .linalg import (FMatrix, PrimeField, _block_tally, echelon, hstack, row_space,
-                     vstack)
+from .linalg import (FMatrix, PrimeField, _block_tally, echelon, hstack,
+                     reduce_vector, row_space, vstack)
 from .reps import (MultiplicityVector, Representation, SubspaceTuple,
                    check_relations, compose_homs, decompose_with_embeddings,
                    direct_sum, find_isomorphism, hom_dim, hom_space, identify,
@@ -149,13 +149,18 @@ class ARQuiver:
         vertex ids, not modules.  Vertex ids render the dimension vectors,
         so equal knitted orders carry equal dimension vectors.  Both
         quivers' Hom matrices are already computed (``knit`` checks their
-        unitriangularity), so the check costs one comparison: if the
-        orders or the Hom matrices differ, ``FieldDependenceDetected`` is
-        raised and nothing is shared.
+        unitriangularity), so the check costs a few comparisons: if the
+        orders, the shapes (``quiver_shape``) or the Hom matrices differ,
+        ``FieldDependenceDetected`` is raised and nothing is shared.  This
+        is the one field-independence check of the package
+        (``check_field_independence`` and ``verify`` run it).
         """
         if self.order != first.order:
             raise FieldDependenceDetected(
                 f"knitted order over F_{self.field.p} differs from F_{first.field.p}")
+        if quiver_shape(self) != quiver_shape(first):
+            raise FieldDependenceDetected(
+                f"AR quiver over F_{self.field.p} differs from F_{first.field.p}")
         if self.hom_matrix() != first.hom_matrix():
             raise FieldDependenceDetected(
                 f"Hom matrix over F_{self.field.p} differs from F_{first.field.p}")
@@ -451,12 +456,8 @@ class HomFrame:
             for f in self.into_basis(k):
                 row = []
                 for span, images in zip(spans, f):
-                    for v in images:
-                        for c, u in span:  # v modulo U_i
-                            t = v[c]
-                            if t:
-                                v = [(a - t * b) % p for a, b in zip(v, u)]
-                        row.extend(v)
+                    for v in images:  # v modulo U_i
+                        row.extend(reduce_vector(span, v, p))
                 matrix.append(row)
             out.append(len(matrix) - len(echelon(matrix, p, self.inv)))
         return out
@@ -609,17 +610,15 @@ def knit(spec: AlgebraSpec, p: int, config: KnitConfig | None = None) -> ARQuive
         targets = [by_id[a.target] for a in outs]
         e_rep = direct_sum(spec, field, [t.rep for t in targets])
         inclusions = summand_inclusions(spec, field, [t.rep for t in targets])
-        eta = {}
+        spans = []
         for i, vx in enumerate(verts):
-            blocks = [a.maps[vx] for a in outs]
-            eta[vx] = vstack(field, blocks, ncols=v.rep.dims[i])
-        for i, vx in enumerate(verts):
-            if eta[vx].rank() != v.rep.dims[i]:
+            eta = vstack(field, [a.maps[vx] for a in outs], ncols=v.rep.dims[i])
+            spans.append(row_space(eta.transpose()))  # the image of eta at vx
+            if spans[-1].nrows != v.rep.dims[i]:
                 raise EtaNotInjective(
                     f"left almost split map out of {v.id} is not injective at "
                     f"vertex {vx}")
-        image = SubspaceTuple(e_rep, tuple(row_space(eta[vx].transpose())
-                                           for vx in verts))
+        image = SubspaceTuple(e_rep, tuple(spans))
         sq = sub_quotient(e_rep, image)
         z_rep = sq.quot
         expected = tuple(e_rep.dims[i] - v.rep.dims[i] for i in range(len(verts)))
@@ -695,7 +694,12 @@ def ar_sequence(ar: ARQuiver, z: str) -> ARSequence:
 
 
 def quiver_shape(ar: ARQuiver) -> dict:
-    """Field-independent summary used for cross-prime comparison."""
+    """Field-independent summary used for cross-prime comparison.
+
+    Vertices are matched through their dimension vectors (their ids), which
+    determine indecomposables uniquely here, so equality of the id-level
+    shapes is the right notion of isomorphism of translation quivers.
+    """
     return {
         "vertices": sorted((v.id, v.projective) for v in ar.vertices),
         "arrows": sorted((a.source, a.target) for a in ar.arrows),
@@ -711,29 +715,16 @@ class FieldIndependenceReport:
         self.vertex_count = vertex_count
 
 
-def compare_quiver_shapes(quivers: Mapping[int, ARQuiver]) -> FieldIndependenceReport:
-    """Insist that quivers knitted over several primes (keyed by prime, the
-    first one the reference) have one combinatorial shape.
-
-    Vertices are matched through their dimension vectors, which determine
-    indecomposables uniquely here, so equality of the id-level shapes is the
-    right notion of isomorphism of translation quivers.
-    """
-    primes = list(quivers)
-    if len(primes) < 2:
-        raise ValueError("need at least two primes")
-    reference = quiver_shape(quivers[primes[0]])
-    for p in primes[1:]:
-        if quiver_shape(quivers[p]) != reference:
-            raise FieldDependenceDetected(
-                f"AR quiver over F_{p} differs from F_{primes[0]}")
-    return FieldIndependenceReport(tuple(primes), len(reference["vertices"]))
-
-
 def check_field_independence(spec: AlgebraSpec, primes: Sequence[int],
                              config: KnitConfig | None = None) -> FieldIndependenceReport:
-    """Knit over each prime and compare the shapes (``compare_quiver_shapes``)."""
-    return compare_quiver_shapes({p: knit(spec, p, config) for p in primes})
+    """Knit over each prime and check each quiver against the first
+    (``ARQuiver.share_memos``, which raises ``FieldDependenceDetected``)."""
+    if len(primes) < 2:
+        raise ValueError("need at least two primes")
+    first = knit(spec, primes[0], config)
+    for p in primes[1:]:
+        knit(spec, p, config).share_memos(first)
+    return FieldIndependenceReport(tuple(primes), len(first.vertices))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 Matrices are immutable tuples of tuples of plain ints reduced mod p; the
 whole package works with exact integer arithmetic, no floating point.
+Two kernels do every reduction: ``echelon`` brings a whole matrix to
+reduced row echelon form, and ``reduce_vector`` reduces one vector
+against the rows of a reduced echelon basis.  ``rref_pivots`` is the one
+check that a basis is in reduced echelon form.
 """
 
 from __future__ import annotations
@@ -9,7 +13,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from collections import Counter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ResourceBound
 
@@ -421,7 +425,7 @@ def _walk_rows(block: tuple, pattern: tuple, j: int, L: int, mats: list,
     if L + 1 == len(vertex) and j + 1 == len(pattern):
         # the last row ends each map, and its image depends only on that
         # row reduced against the rows above it: echelon each one once
-        finals = Counter(_reduce(spans[i], mats[0][L], p)
+        finals = Counter(reduce_vector(spans[i], mats[0][L], p)
                          for _ in odometer(mats, free[L], p))
         for v, count in finals.items():
             grown = _grow(spans[i], [v], p, inv)
@@ -457,8 +461,13 @@ def _add_blocks(tallies: Sequence[dict[tuple, int]], spans: list, weight: int,
             _add_blocks(tallies[1:], grown, weight * n, images, p, inv)
 
 
-def _reduce(span: list, v: Sequence[int], p: int) -> tuple[int, ...]:
-    """v reduced against the reduced echelon rows (pivot, row) of span."""
+def reduce_vector(span: Iterable[tuple[int, Sequence[int]]], v: Sequence[int],
+                  p: int) -> tuple[int, ...]:
+    """v reduced against the rows (pivot, row) of span, each led by a 1 at
+    its pivot and zero at the other rows' pivots: v minus v[c] times the
+    row of each pivot c, so the result is zero at every pivot, and zero
+    everywhere exactly when v lies in the span.  The one reduction kernel
+    of the package (``echelon`` reduces a whole matrix)."""
     for c, e in span:
         f = v[c]
         if f:
@@ -466,12 +475,28 @@ def _reduce(span: list, v: Sequence[int], p: int) -> tuple[int, ...]:
     return tuple(v)
 
 
+def rref_pivots(basis: FMatrix) -> list[int]:
+    """Pivot columns of a reduced-echelon basis; rejects anything that is
+    not fully reduced (leading 1s on strictly increasing columns, pivot
+    columns zero in every other row)."""
+    pivots = []
+    for row in basis.rows:
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None or row[lead] != 1 or (pivots and lead <= pivots[-1]):
+            raise ValueError("subspace basis is not in reduced echelon form")
+        pivots.append(lead)
+    if any(row[c] for i, row in enumerate(basis.rows)
+           for j, c in enumerate(pivots) if i != j):
+        raise ValueError("subspace basis is not in reduced echelon form")
+    return pivots
+
+
 def _grow(span: list, rows: Sequence[tuple[int, ...]], p: int,
           inv: Sequence[int]) -> list | None:
     """The reduced echelon rows (pivot, row) of span + rows, sorted by
     pivot, or None when the rows are not independent modulo span."""
     for v in rows:
-        v = _reduce(span, v, p)
+        v = reduce_vector(span, v, p)
         lead = next((c for c, x in enumerate(v) if x), None)
         if lead is None:
             return None
@@ -494,18 +519,14 @@ def rref(m: FMatrix) -> RREF:
 def coords_in_rowspace(basis: FMatrix, pivots: Sequence[int],
                        vector: Sequence[int]) -> tuple[int, ...] | None:
     """Coordinates of a vector against the rows of a reduced-echelon basis
-    with the given pivot columns, or None when it lies outside their span.
-    Rows of ``basis`` beyond ``len(pivots)`` are ignored."""
+    with the given pivot columns, or None when it lies outside their span
+    (``reduce_vector`` leaves something).  Rows of ``basis`` beyond
+    ``len(pivots)`` are ignored."""
     p = basis.field.p
-    coords = tuple(vector[c] % p for c in pivots)
-    recon = [0] * basis.ncols
-    for coeff, row in zip(coords, basis.rows):
-        if coeff:
-            for j, val in enumerate(row):
-                recon[j] = (recon[j] + coeff * val) % p
-    if tuple(recon) != tuple(v % p for v in vector):
+    v = [x % p for x in vector]
+    if any(reduce_vector(zip(pivots, basis.rows), v, p)):
         return None
-    return coords
+    return tuple(v[c] for c in pivots)
 
 
 def row_space(m: FMatrix) -> FMatrix:
@@ -577,22 +598,13 @@ def enumerate_subspaces(d: int, e: int, field: PrimeField,
 
 
 def quotient_projection(base: FMatrix) -> FMatrix:
-    """Projection of F_p^d onto the complement coordinates of an RREF basis:
-    a (d-r) x d matrix whose kernel is exactly the row space of ``base``."""
-    field = base.field
-    d = base.ncols
-    res = rref(base)
-    pivots = res.pivots
-    complement = [j for j in range(d) if j not in set(pivots)]
-    # pi(v)_k = v_k - sum_i v[pivot_i] * basis_row_i[k]
-    rows = []
-    for k in complement:
-        row = [0] * d
-        row[k] = 1
-        for i, c in enumerate(pivots):
-            row[c] = (-res.matrix.rows[i][k]) % field.p
-        rows.append(tuple(row))
-    return FMatrix(field, len(complement), d, tuple(rows))
+    """Projection of F_p^d onto the complement coordinates of the RREF
+    basis R of ``base``: a (d-r) x d matrix whose kernel is exactly the row
+    space of ``base``.  Coordinate k of the projection of v is v_k minus
+    Σ_i v[c_i] R_i[k] over the pivots c_i, so row k is e_k minus R_i[k] at
+    each c_i: the null space vector of free column k (``solve_nullspace``)."""
+    rows = solve_nullspace(base)
+    return FMatrix(base.field, len(rows), base.ncols, tuple(rows))
 
 
 def preimage_subspace(m: FMatrix, base: FMatrix) -> FMatrix:
@@ -653,14 +665,14 @@ def enumerate_superspaces(base: FMatrix, e: int | None = None,
     ``base``, or of every dimension when e is None, as canonical RREF bases
     (``cap`` bounds each dimension): ``base`` is echeloned once, to R with
     pivots P; each quotient subspace's reduced echelon basis is lifted onto
-    the other columns, its pivot columns cleared from R, and the rows
-    merged by pivot.
+    the other columns, each row of R reduced against the lifted rows
+    (``reduce_vector``), and the rows merged by pivot.
 
     That is reduced echelon: a lifted row is led by a 1 at its pivot and is
-    zero at P and at the other lifted pivots, so clearing with it moves no
-    other pivot column; and a row of R, zero before its leading 1, is only
-    cleared at lifted pivots after it, as a lifted row is zero before its
-    own pivot, so its leading 1 stays.
+    zero at P and at the other lifted pivots, so it is a valid reduction
+    row and clearing with it moves no other pivot column; and a row of R,
+    zero before its leading 1, is only cleared at lifted pivots after it,
+    as a lifted row is zero before its own pivot, so its leading 1 stays.
     """
     field = base.field
     p, d = field.p, base.ncols
@@ -671,14 +683,13 @@ def enumerate_superspaces(base: FMatrix, e: int | None = None,
     dims = range(r, d + 1) if e is None else range(e, e + 1) if r <= e <= d else ()
     for k in dims:
         for w in enumerate_subspaces(d - r, k - r, field, cap=cap):
-            merged = list(zip(pivots, rows))
+            lifted = []
             for wrow in w.rows:
                 v = [0] * d
                 for col, x in zip(complement, wrow):
                     v[col] = x
-                lead = next(c for c, x in enumerate(v) if x)
-                merged = [(c, [(a - row[lead] * b) % p for a, b in zip(row, v)]
-                           if row[lead] else row) for c, row in merged]
-                merged.append((lead, v))
+                lifted.append((complement[next(j for j, x in enumerate(wrow) if x)], v))
+            merged = [(c, reduce_vector(lifted, row, p))
+                      for c, row in zip(pivots, rows)] + lifted
             merged.sort(key=lambda item: item[0])
             yield FMatrix(field, k, d, tuple(tuple(row) for _, row in merged))

@@ -13,8 +13,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from .errors import (DecompositionBudgetExceeded, NegativeMultiplicity,
                      NonUnitriangularHomMatrix, NotClosed, ResourceBound)
 from .linalg import (FMatrix, PrimeField, coords_in_rowspace, echelon,
-                     injective_images, quotient_projection, row_space, rref,
-                     solve_nullspace)
+                     injective_images, quotient_projection, reduce_vector,
+                     row_space, rref, rref_pivots, solve_nullspace)
 
 if TYPE_CHECKING:
     from .algebra import AlgebraSpec
@@ -347,14 +347,8 @@ def ext_space(c: Representation, a: Representation) -> ExtSpace:
     # Clear the coboundary pivot columns from each cocycle: a nonzero
     # coboundary is nonzero on some pivot column, so what is left spans a
     # complement of the coboundaries inside the cocycles.
-    reduced = []
-    for z in cocycles:
-        z = list(z)
-        for row, col in zip(coboundaries, pivots):
-            f = z[col]
-            if f:
-                z = [(x - f * y) % p for x, y in zip(z, row)]
-        reduced.append(z)
+    span = list(zip(pivots, coboundaries))
+    reduced = [list(reduce_vector(span, z, p)) for z in cocycles]
     rank = len(echelon(reduced, p, inv))
     return ExtSpace(tuple(tuple(z) for z in reduced[:rank]), hom)
 
@@ -441,27 +435,6 @@ def _combine(basis: list[dict[str, FMatrix]], coeffs: Sequence[int],
 # Subspace tuples, submodules and quotients
 
 
-def _rref_pivots(basis: FMatrix) -> list[int]:
-    """Pivot columns of a reduced-echelon basis; rejects anything that is
-    not fully reduced (leading 1s on strictly increasing columns, pivot
-    columns zero in every other row)."""
-    pivots = []
-    for row in basis.rows:
-        lead = None
-        for j, val in enumerate(row):
-            if val:
-                lead = j
-                break
-        if lead is None or row[lead] != 1 or (pivots and lead <= pivots[-1]):
-            raise ValueError("subspace basis is not in reduced echelon form")
-        pivots.append(lead)
-    for i, row in enumerate(basis.rows):
-        for j, c in enumerate(pivots):
-            if i != j and row[c]:
-                raise ValueError("subspace basis is not in reduced echelon form")
-    return pivots
-
-
 class SubspaceTuple:
     """Per-vertex subspace bases inside a target representation.
 
@@ -474,7 +447,7 @@ class SubspaceTuple:
         for i, b in enumerate(bases):
             if b.ncols != target.dims[i] or b.nrows > target.dims[i]:
                 raise ValueError("subspace basis shape mismatch")
-            _rref_pivots(b)
+            rref_pivots(b)
         self.target = target
         self.bases = bases  # indexed like spec.vertices; e_x rows, d_x cols
 
@@ -507,7 +480,7 @@ def restrict_to_subtuple(m: Representation, u: SubspaceTuple):
     verts = spec.vertices
     index = {v: i for i, v in enumerate(verts)}
     sub_dims = u.dims
-    pivots = [_rref_pivots(b) for b in u.bases]
+    pivots = [rref_pivots(b) for b in u.bases]
     maps = {}
     for a in spec.quiver.arrows:
         Bs, Bt = u.bases[index[a.source]], u.bases[index[a.target]]
@@ -539,7 +512,7 @@ def quotient_by_subtuple(m: Representation, u: SubspaceTuple):
     projection = {v: quotient_projection(u.bases[i]) for v, i in index.items()}
     complements = {}
     for v, i in index.items():
-        pivots = set(_rref_pivots(u.bases[i]))
+        pivots = set(rref_pivots(u.bases[i]))
         complements[v] = [j for j in range(m.dims[i]) if j not in pivots]
     maps = {}
     for a in spec.quiver.arrows:

@@ -237,6 +237,19 @@ class TestErrorPaths:
         assert code == 0
         assert json.loads(out)["phi"] == [1]
 
+    def test_knit_takes_one_prime(self, capsys):
+        """knit knits over one field: a list of primes is refused, not cut
+        to its first entry."""
+        code, out, err = invoke(capsys, "knit", "--algebra", algebra("a2"),
+                                "--primes", "2,3")
+        assert code == 2
+        assert "--primes" in err and not out
+        code, out, _ = invoke(capsys, "knit", "--algebra", algebra("a2"),
+                              "--primes", "3")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["prime"] == 3 and doc["config"]["primes"] == [3]
+
 
 def test_cli_import_skips_code_generation_and_resources():
     """``import hallie.cli``, which every CLI process pays for, loads neither

@@ -588,12 +588,12 @@ class TestOracleEquivalenceReport:
                                                      0) == 0
 
 
-class TestHomRuns:
-    """The hom route walks the runs X^n of the sub class, read off the
+class TestHomSubClass:
+    """The hom route walks the summands X^n of the sub class, read off the
     multiplicity vector, not off the module it is handed."""
 
     @pytest.mark.parametrize("p", [2, 3])
-    def test_runs_match_one_block(self, algebras, p):
+    def test_class_module_and_equal_module_agree(self, algebras, p):
         """``hall_number_hom`` handed the class module of each sub class
         and handed an equal module built apart give the same counts and
         the same skips, on every triple of a2 up to total dimension 4,
@@ -627,10 +627,10 @@ class TestHomRuns:
                     out.append(None)
             return out
 
-        with_runs = counts(ar.class_module)
-        assert counts(stripped) == with_runs
-        assert sum(n is not None for n in with_runs) > 100
-        assert any(n > 1 for (a_mv, _, _), count in zip(pairs, with_runs)
+        by_class = counts(ar.class_module)
+        assert counts(stripped) == by_class
+        assert sum(n is not None for n in by_class) > 100
+        assert any(n > 1 for (a_mv, _, _), count in zip(pairs, by_class)
                    if count for _, n in a_mv.items())
 
 

@@ -11,7 +11,7 @@ from hallie.errors import (FieldDependenceDetected, IsProjective,
                            NonUnitriangularHomMatrix, NotRepresentationFinite)
 from hallie.hall import closed_subspace_tuples
 from hallie.knit import (KnitConfig, ar_sequence, ar_to_doc,
-                         check_field_independence, compare_quiver_shapes, knit)
+                         check_field_independence, knit)
 from hallie import liealg
 from hallie.linalg import _block_tally
 from hallie.hall import ARFamily
@@ -170,13 +170,15 @@ class TestFieldIndependence:
             check_field_independence(algebras["a2"], [2])
 
     def test_knitted_quivers_compared_as_given(self, algebras):
-        """verify compares the quivers its family already knitted; a
-        doctored translate over one prime must fail the comparison."""
+        """verify compares the quivers its family already knitted
+        (``share_memos``); a doctored translate over one prime must fail
+        the comparison, although the order and the Hom matrix agree."""
         quivers = {p: knit(algebras["a2"], p) for p in (2, 3)}
-        assert compare_quiver_shapes(quivers).primes == (2, 3)
+        quivers[3].share_memos(quivers[2])
         quivers[3].tau["1-0"] = "1-1"
+        assert quivers[3].order == quivers[2].order
         with pytest.raises(FieldDependenceDetected, match="F_3"):
-            compare_quiver_shapes(quivers)
+            quivers[3].share_memos(quivers[2])
 
 
 class TestLimits:

@@ -10,7 +10,7 @@ from hallie.linalg import (FMatrix, PrimeField, coords_in_rowspace, echelon,
                            gaussian_binomial, injective_images,
                            intersect_subspaces, is_prime, odometer,
                            preimage_subspace, quotient_projection, row_space,
-                           rref, scalar_orbits, solve_nullspace,
+                           rref, rref_pivots, scalar_orbits, solve_nullspace,
                            subspace_contains, subspaces_between)
 
 F2 = PrimeField(2)
@@ -114,6 +114,45 @@ class TestEchelon:
         basis = mat(F3, [[1, 0, 2]])
         assert coords_in_rowspace(basis, [0], (2, 0, 1)) == (2,)
         assert coords_in_rowspace(basis, [0], (1, 1, 2)) is None
+
+    @given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_coords_match_reconstruction(self, p, d, data):
+        """Coordinates exist exactly when they rebuild the vector mod p, on
+        vectors inside and outside the span, with entries left unreduced."""
+        field = PrimeField(p)
+        entries = st.lists(st.integers(0, p - 1), min_size=d, max_size=d)
+        basis = row_space(mat(field, data.draw(st.lists(entries, max_size=d)), ncols=d))
+        pivots = rref_pivots(basis)
+        vector = data.draw(st.lists(st.integers(-3 * p, 3 * p), min_size=d, max_size=d))
+        coords = coords_in_rowspace(basis, pivots, vector)
+        reduced = tuple(x % p for x in vector)
+        if coords is None:
+            assert all(
+                tuple(sum(c * row[j] for c, row in zip(cs, basis.rows)) % p
+                      for j in range(d)) != reduced
+                for cs in itertools.product(range(p), repeat=basis.nrows))
+        else:
+            assert coords == tuple(reduced[c] for c in pivots)
+            assert tuple(sum(c * row[j] for c, row in zip(coords, basis.rows)) % p
+                         for j in range(d)) == reduced
+
+
+class TestReducedEchelonCheck:
+    def test_accepts_reduced_bases(self):
+        assert rref_pivots(mat(F3, [[1, 2, 0, 1], [0, 0, 1, 2]])) == [0, 2]
+        assert rref_pivots(FMatrix.zeros(F3, 0, 3)) == []
+
+    @pytest.mark.parametrize("rows", [
+        [[2, 0, 1]],                # a lead that is not 1
+        [[0, 1, 0], [1, 0, 0]],     # pivots that do not increase
+        [[1, 0, 0], [1, 0, 0]],     # a repeated pivot
+        [[1, 1, 0], [0, 1, 0]],     # nonzero in a later row's pivot column
+        [[1, 0, 0], [0, 1, 0], [0, 0, 0]],  # a zero row
+    ])
+    def test_rejects_each_unreduced_form(self, rows):
+        with pytest.raises(ValueError, match="reduced echelon"):
+            rref_pivots(mat(F3, rows))
 
 
 class TestOdometer:
@@ -359,6 +398,22 @@ class TestSubspaceCalculus:
         assert proj.shape == (1, 3)
         for v in base.rows:
             assert all(x == 0 for x in proj.apply(v))
+
+    @given(p=st.sampled_from([2, 3]), d=st.integers(1, 4), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_quotient_projection_kernel_is_the_row_space(self, p, d, data):
+        """proj · x = 0 exactly when x lies in the row space of the base,
+        over every x in F_p^d, for any spanning rows of the base."""
+        field = PrimeField(p)
+        entries = st.lists(st.integers(0, p - 1), min_size=d, max_size=d)
+        base = mat(field, data.draw(st.lists(entries, max_size=d + 1)), ncols=d)
+        proj = quotient_projection(base)
+        span = {tuple(sum(c * row[j] for c, row in zip(cs, base.rows)) % p
+                      for j in range(d))
+                for cs in itertools.product(range(p), repeat=base.nrows)}
+        assert proj.shape == (d - len(rref_pivots(row_space(base))), d)
+        for x in itertools.product(range(p), repeat=d):
+            assert (not any(proj.apply(x))) == (x in span)
 
     def test_preimage(self):
         # map F_3^2 -> F_3^3 by injecting into first two coordinates

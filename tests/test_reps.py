@@ -259,7 +259,7 @@ class TestAutOrder:
         # End(P_1) = F_p, so Aut has p - 1 elements
         assert aut_order(projective_rep(a2, "1", 5)) == 4
 
-    def test_bound_is_checked_on_a_memoized_count(self, a2):
+    def test_bound_is_checked_on_every_call(self, a2):
         """p^{dim End} = 3^9 for S1³ at p = 3: counted under a loose bound,
         and refused under a tight one on the next call."""
         s1 = simple_rep(a2, "1", 3)
@@ -268,7 +268,7 @@ class TestAutOrder:
         with pytest.raises(ResourceBound):
             aut_order(m, bound=100)
 
-    def test_runs_do_not_change_the_count(self, a2):
+    def test_bare_module_walks_its_summands(self, a2):
         """The walk over the summands ``decompose`` finds, on a class
         module and on an equal module built apart, against the closed form
         of the class and the count by hand."""

@@ -11,23 +11,22 @@ Paths list arrow ids in composition order: the leftmost arrow is applied
 last, so ``["b", "a"]`` means "first a, then b" and requires the target of
 ``a`` to equal the source of ``b``.
 
-Relations are restricted to zero relations and commutativity relations with
-coefficients +1/-1.  This guarantees that the path basis computed over the
-rationals stays a basis over every prime field: each excluded path rewrites
-to another basis path (or to zero) with coefficient +1 or -1.  A violation
-of that property is reported as NonIntegralRewrite rather than silently
-producing field-dependent behaviour.
+Relations are restricted to zero relations and commutativity relations
+lhs = rhs, so the ideal they generate is spanned by differences of paths
+and by paths.  The path basis is therefore the same over every field: one
+shortest, lexicographically smallest path for each class of paths that
+padded commutativity relations join and no padded zero relation reaches
+(``compute_path_basis`` holds the argument).
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from fractions import Fraction
 from typing import Sequence
 
-from .errors import (CyclicQuiver, InadmissibleRelation, NonIntegralRewrite,
-                     NonSchurianWarning, ParseError)
+from .errors import (CyclicQuiver, InadmissibleRelation, NonSchurianWarning,
+                     ParseError)
 from .linalg import FMatrix, PrimeField
 
 
@@ -90,9 +89,10 @@ class Relation:
 class AlgebraSpec:
     """A validated bound quiver algebra with its computed path basis.
 
-    ``rewrites`` sends every path to its expansion in basis paths; entries
-    are lists of (coefficient, basis path) with coefficients in {+1, -1}
-    (an empty list means the path is zero in the algebra).
+    ``rewrites`` sends every path to its expansion in basis paths, a tuple
+    of (coefficient, basis path) pairs: ``((1, rep),)`` for a path whose
+    class is represented by ``rep``, ``()`` for a path that is zero in the
+    algebra.
     """
 
     __slots__ = ("quiver", "relations", "path_basis", "nilpotency_bound",
@@ -298,101 +298,60 @@ def load_algebra(path: str) -> AlgebraSpec:
 
 
 def compute_path_basis(quiver: Quiver, relations: tuple[Relation, ...]):
-    """Coset representatives of paths modulo the relation ideal.
+    """Coset representatives of paths modulo the relation ideal I, with the
+    rewrite of every path: ``((1, rep),)`` onto its class representative,
+    or ``()`` when the path lies in I.
 
-    For each (source, target) pair the span of padded relation generators is
-    eliminated exactly over the rationals; columns are ordered by descending
-    length-then-lexicographic order so that the surviving representative of a
-    coset is the shortest, lexicographically smallest path.  Every pivot row
-    must have coefficients in {0, +1, -1}; anything else raises
-    NonIntegralRewrite since the basis would not transfer to every prime.
+    Paths are joined into classes by the padded commutativity relations
+    x·lhs·y ~ x·rhs·y (x, y paths); a class holding a padded zero relation
+    x·r·y is zero; every other class is represented by its minimum under
+    ``Path.sort_key`` (shortest, then lexicographically smallest).
+
+    Why this is a basis over every field k.  I is spanned over k by the
+    padded generators: differences of two paths of one class, and
+    monomials of a zero class.  So every path is congruent modulo I to its
+    class representative, or to 0 when its class is zero, and the
+    representatives of the nonzero classes span kQ/I.  For a nonzero class
+    C, the functional φ_C that is 1 on the paths of C and 0 on every other
+    path kills every generator, hence I; it is 1 on C's representative and
+    0 on every other one, so the representatives are independent modulo I.
+    They are a basis of kQ/I over every k, and every rewrite has the
+    coefficient 1.  Checked at run time: both sides of each relation
+    rewrite alike, and a zero relation rewrites to ``()``.
     """
     paths = _all_paths(quiver)
     longest = max((len(q) for q in paths), default=0)
-    by_pair: dict[tuple[str, str], list[Path]] = {}
-    for q in paths:
-        by_pair.setdefault((q.source, q.target), []).append(q)
+    parent = {q: q for q in paths}
 
-    # padded relation elements, grouped by (source, target)
-    elements: dict[tuple[str, str], list[dict[Path, int]]] = {}
+    def find(q: Path) -> Path:
+        q = parent[q]
+        while parent[q] is not q:
+            q = parent[q]
+        return q
+
+    zeros = []
     for rel in relations:
-        terms = [(1, rel.lhs)] if rel.kind == "zero" else [(1, rel.lhs), (-1, rel.rhs)]
-        src, dst = rel.lhs.source, rel.lhs.target
-        lefts = [q for q in paths if q.source == dst]
-        rights = [q for q in paths if q.target == src]
+        lefts = [x for x in paths if x.source == rel.lhs.target]
+        rights = [y for y in paths if y.target == rel.lhs.source]
         for x in lefts:
             for y in rights:
-                elem: dict[Path, int] = {}
-                for coeff, mid in terms:
-                    w = _compose(x, _compose(mid, y))
-                    elem[w] = elem.get(w, 0) + coeff
-                key = (y.source, x.target)
-                elements.setdefault(key, []).append(elem)
+                w = _compose(x, _compose(rel.lhs, y))
+                if rel.kind == "zero":
+                    zeros.append(w)
+                else:
+                    parent[find(w)] = find(_compose(x, _compose(rel.rhs, y)))
 
-    basis: list[Path] = []
-    rewrites: dict[Path, tuple[tuple[int, Path], ...]] = {}
-    for pair, pair_paths in by_pair.items():
-        # descending (length, lex) so the preferred representative is never a pivot
-        cols = sorted(pair_paths, key=lambda q: q.sort_key(), reverse=True)
-        col_of = {q: i for i, q in enumerate(cols)}
-        rows = [[Fraction(0)] * len(cols) for _ in elements.get(pair, [])]
-        for row, elem in zip(rows, elements.get(pair, [])):
-            for q, c in elem.items():
-                row[col_of[q]] += c
-        pivots = _rational_rref(rows)
-        pivot_cols = {c for c, _ in pivots}
-        pair_basis = [q for q in cols if col_of[q] not in pivot_cols]
-        for c, row in pivots:
-            terms = []
-            for j, val in enumerate(row):
-                if j == c or val == 0:
-                    continue
-                coeff = -val
-                if coeff.denominator != 1 or coeff not in (-1, 1):
-                    raise NonIntegralRewrite(
-                        f"path {cols[c]!r} rewrites with coefficient {coeff}, "
-                        "outside {+1, -1}; not instantiable over every prime")
-                terms.append((int(coeff), cols[j]))
-            rewrites[cols[c]] = tuple(terms)
-        for q in pair_basis:
-            rewrites[q] = ((1, q),)
-        basis.extend(pair_basis)
-
-    basis.sort(key=lambda q: (len(q), quiver.vertices.index(q.source), q.arrows))
+    zero_roots = {find(w) for w in zeros}
+    reps: dict[Path, Path] = {}
+    for q in sorted(paths, key=Path.sort_key):
+        reps.setdefault(find(q), q)
+    rewrites = {q: () if find(q) in zero_roots else ((1, reps[find(q)]),)
+                for q in paths}
+    for rel in relations:
+        assert rewrites[rel.lhs] == (() if rel.kind == "zero" else rewrites[rel.rhs]), rel
+    basis = sorted((q for root, q in reps.items() if root not in zero_roots),
+                   key=lambda q: (len(q), quiver.vertices.index(q.source), q.arrows))
     return tuple(basis), rewrites, longest
-
-
-def _rational_rref(rows: list[list[Fraction]]) -> list[tuple[int, list[Fraction]]]:
-    """In-place RREF over Q; returns (pivot column, reduced row) pairs.
-
-    The rows are read only after the last elimination: a pivot row is
-    replaced by a new list each time a later pivot clears its column.
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [(c, rows[i]) for i, c in enumerate(pivots)]
 
 
 def projective_rep(spec: AlgebraSpec, x: str, p: int):

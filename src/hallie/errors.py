@@ -25,11 +25,6 @@ class InadmissibleRelation(InputError):
     """A relation generator of length < 2 or a non-parallel commutativity pair."""
 
 
-class NonIntegralRewrite(InputError):
-    """A relation system forces a rewrite coefficient outside {0, +1, -1},
-    so the algebra cannot be instantiated uniformly over every prime field."""
-
-
 class IsProjective(InputError):
     """An almost split sequence was requested at a projective vertex."""
 

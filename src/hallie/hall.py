@@ -83,6 +83,10 @@ from .linalg import (FMatrix, gaussian_binomial, intersect_subspaces, is_prime,
 from .reps import (MultiplicityVector, Representation, SubspaceTuple, ext_space,
                    hom_dim, middle_term)
 
+# p^{dim Ext¹(c, a)} past which ``hall_numbers_ext`` raises ResourceBound
+# instead of walking the extension classes, as ``hom_bound`` does for maps.
+EXT_WALK_BOUND = 1_000_000
+
 
 class HallConfig:
     __slots__ = ("excluded_primes", "seed", "max_vertices")
@@ -422,10 +426,15 @@ def hall_numbers_ext(ar: ARQuiver, a: MultiplicityVector, c: MultiplicityVector,
     bounded class raises ``NegativeMultiplicity``, one that reads as a ⊕ c
     raises ``ExtDimensionMismatch``, and two bounded classes with one
     vector raise ``NonUnitriangularHomMatrix``; every division is exact
-    (else ``NonIntegralOrbitCount``).
+    (else ``NonIntegralOrbitCount``).  Raises ``ResourceBound`` when
+    p^{dim Ext¹(c, a)} exceeds ``EXT_WALK_BOUND``.
     """
     p = ar.field.p
     ext = ext_space(n2, n1)
+    if p ** ext.dim > EXT_WALK_BOUND:
+        raise ResourceBound(
+            f"Ext¹({c.render()}, {a.render()}) walk needs {p}^{ext.dim} classes "
+            f"> bound {EXT_WALK_BOUND}")
     hom_ca = _pair(ar, c, ar.hom_vectors(a)[0])
     if ext.hom_dim != hom_ca:
         raise ExtDimensionMismatch(

@@ -502,9 +502,8 @@ def _grow(span: list, rows: Sequence[tuple[int, ...]], p: int,
             return None
         f = inv[v[lead]]
         v = tuple((x * f) % p for x in v)
-        span = sorted([(c, e) if not e[lead] else
-                       (c, tuple((a - e[lead] * b) % p for a, b in zip(e, v)))
-                       for c, e in span] + [(lead, v)])
+        span = sorted([(c, reduce_vector(((lead, v),), e, p)) for c, e in span]
+                      + [(lead, v)])
     return span
 
 

@@ -69,6 +69,20 @@ class TestHallCommand:
         assert code == 0
         assert json.loads(out)["phi"] == [1]
 
+    def test_oversized_ext_walk_ends_with_exit_3(self, capsys):
+        # dim Ext¹ = 25: 2^25 extension classes at the first prime
+        code, _, err = invoke(capsys, "hall", "--algebra", algebra("a2"),
+                              "--triple", "0-1:5/1-0:5/1-1:5")
+        assert code == 3
+        assert "2^25 classes > bound 1000000" in err
+
+    def test_ext_walk_below_the_bound_runs(self, capsys):
+        # dim Ext¹ = 9: 3^9 = 19,683 classes at p = 3, the largest node
+        code, out, _ = invoke(capsys, "hall", "--algebra", algebra("a2"),
+                              "--triple", "0-1:3/1-0:3/1-1:3")
+        assert code == 0
+        assert json.loads(out)["phi"] == [1]
+
     def test_unknown_id(self, capsys):
         code, _, err = invoke(capsys, "hall", "--algebra", algebra("a2"),
                               "--triple", "9-9/1-0/1-1")

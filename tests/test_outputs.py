@@ -1,8 +1,11 @@
-"""Byte-identity of the CLI: the sha256 of ``lie`` and ``verify`` stdout
-(json format) and their exit codes on every shipped algebra, as recorded in
-``cli_stdout_sha256.json`` before the Ext route identified middle terms
-among the bracket-bounded classes.  A change that alters any of these
-outputs must say so and re-record the file."""
+"""Byte-identity of the CLI: the sha256 of ``lie``, ``verify`` and
+``knit --with-maps`` stdout (json format) and their exit codes on every
+shipped algebra, as recorded in ``cli_stdout_sha256.json`` (the ``lie`` and
+``verify`` entries before the Ext route identified middle terms among the
+bracket-bounded classes, the ``knit`` entries before the path basis was
+read off commutativity classes).  The ``knit`` entries pin the projective
+matrices, which a change of path basis would move.  A change that alters
+any of these outputs must say so and re-record the file."""
 
 import contextlib
 import hashlib
@@ -20,8 +23,11 @@ with open(os.path.join(os.path.dirname(__file__), "cli_stdout_sha256.json"),
     PINNED = json.load(_fh)
 
 
+FLAGS = {"knit": ["--with-maps"], "lie": [], "verify": []}
+
+
 def test_every_shipped_algebra_is_pinned():
-    assert sorted(PINNED) == sorted(f"{command}:{name}" for command in ("lie", "verify")
+    assert sorted(PINNED) == sorted(f"{command}:{name}" for command in FLAGS
                                     for name in hallie.example_algebra_names())
 
 
@@ -31,6 +37,6 @@ def test_stdout_and_exit_code_are_pinned(key):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = run([command, "--algebra", hallie.example_algebra_path(name),
-                    "--format", "json"])
+                    "--format", "json", *FLAGS[command]])
     assert {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()} \
         == PINNED[key]

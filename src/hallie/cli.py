@@ -23,7 +23,7 @@ from . import __version__
 from .algebra import AlgebraSpec, parse_algebra
 from .errors import HallieError, InputError, ResourceBound, VerificationError
 from .hall import ARFamily, HallConfig
-from .knit import ar_to_doc
+from .knit import ar_sequence, ar_to_doc
 from .liealg import (compare_with_root_system, euler_lie_table, hall_lie_table,
                      jacobi_check, positive_roots, verify_isomorphism)
 from .linalg import is_prime
@@ -53,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="primes never used as interpolation nodes")
         p.add_argument("--jobs", type=int, default=1,
                        help="recorded in the output; must be 1")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for the decomposition splitting draws")
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default="json")
         p.add_argument("--max-vertices", type=int, default=512)
@@ -158,7 +156,9 @@ def _provenance(args, digest: str, primes: list[int]) -> dict:
             "primes": primes,
             "exclude_primes": sorted(_excluded(args)),
             "jobs": args.jobs,
-            "seed": args.seed,
+            # a constant since splitting became deterministic; the key stays
+            # so that pinned documents keep their bytes
+            "seed": 0,
             "format": args.format,
             "max_vertices": args.max_vertices,
         },
@@ -182,7 +182,7 @@ def _validate_caps(args) -> None:
 
 def _family(spec: AlgebraSpec, args) -> ARFamily:
     _validate_caps(args)
-    config = HallConfig(excluded_primes=_excluded(args), seed=args.seed,
+    config = HallConfig(excluded_primes=_excluded(args),
                         max_vertices=args.max_vertices)
     return ARFamily(spec, config)
 
@@ -298,9 +298,13 @@ def cmd_verify(args) -> int:
     ar = family.quiver(primes[0])
     checks.append(CheckResult("knit", True,
                               f"{len(ar.vertices)} indecomposables over F_{primes[0]}"))
+    for p in primes:
+        # family.quiver raises FieldDependenceDetected on a mismatch, and
+        # ar_sequence on a mesh that is not exact
+        quiver = family.quiver(p)
+        for z in quiver.meshes:
+            ar_sequence(quiver, z)
     if len(primes) >= 2:
-        for p in primes[1:]:  # each raises FieldDependenceDetected on a mismatch
-            family.quiver(p)
         checks.append(CheckResult("field independence", True,
                                   f"identical over primes {primes}"))
 

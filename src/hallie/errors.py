@@ -42,7 +42,8 @@ class NotRepresentationFinite(ResourceBound):
 
 
 class DecompositionBudgetExceeded(ResourceBound):
-    """Direct-sum splitting exhausted its draw budget without a certificate."""
+    """The walk of End that splits a module, or shows it indecomposable,
+    passed its bound."""
 
 
 class VerificationError(HallieError):

@@ -89,12 +89,11 @@ EXT_WALK_BOUND = 1_000_000
 
 
 class HallConfig:
-    __slots__ = ("excluded_primes", "seed", "max_vertices")
+    __slots__ = ("excluded_primes", "max_vertices")
 
-    def __init__(self, excluded_primes: tuple[int, ...] = (), seed: int = 0,
+    def __init__(self, excluded_primes: tuple[int, ...] = (),
                  max_vertices: int = 512):
         self.excluded_primes = excluded_primes
-        self.seed = seed
         self.max_vertices = max_vertices
 
 
@@ -603,8 +602,7 @@ class ARFamily:
         ar = self._quivers.get(p)
         if ar is not None:
             return ar
-        ar = knit(self.spec, p, KnitConfig(max_vertices=self.config.max_vertices,
-                                           seed=self.config.seed))
+        ar = knit(self.spec, p, KnitConfig(max_vertices=self.config.max_vertices))
         if self._quivers:
             ar.share_memos(next(iter(self._quivers.values())))
         self._quivers[p] = ar

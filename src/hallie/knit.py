@@ -36,11 +36,10 @@ from .reps import (MultiplicityVector, Representation, SubspaceTuple,
 
 
 class KnitConfig:
-    __slots__ = ("max_vertices", "seed")
+    __slots__ = ("max_vertices",)
 
-    def __init__(self, max_vertices: int = 512, seed: int = 0):
+    def __init__(self, max_vertices: int = 512):
         self.max_vertices = max_vertices
-        self.seed = seed
 
 
 class ARVertex:
@@ -524,7 +523,7 @@ def knit(spec: AlgebraSpec, p: int, config: KnitConfig | None = None) -> ARQuive
             rad_summands[x] = []
             rad_ids[x] = []
             continue
-        pieces = decompose_with_embeddings(rad, seed=config.seed)
+        pieces = decompose_with_embeddings(rad)
         with_embed = [(rep, compose_homs(incl, emb)) for rep, emb in pieces]
         ids = [rep.dim_id() for rep, _ in with_embed]
         if len(set(ids)) != len(ids):

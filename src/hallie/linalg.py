@@ -133,20 +133,6 @@ class FMatrix:
             out.append(tuple(x % p for x in acc))
         return FMatrix(self.field, self.nrows, ocols, tuple(out))
 
-    def add(self, other: "FMatrix") -> "FMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in add")
-        p = self.field.p
-        rows = tuple(tuple((a + b) % p for a, b in zip(r1, r2))
-                     for r1, r2 in zip(self.rows, other.rows))
-        return FMatrix(self.field, self.nrows, self.ncols, rows)
-
-    def scale(self, c: int) -> "FMatrix":
-        p = self.field.p
-        c %= p
-        rows = tuple(tuple((c * a) % p for a in row) for row in self.rows)
-        return FMatrix(self.field, self.nrows, self.ncols, rows)
-
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Matrix times column vector."""
         if len(vector) != self.ncols:

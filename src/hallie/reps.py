@@ -7,14 +7,14 @@ values are immutable; operations are pure functions.
 
 from __future__ import annotations
 
-import random
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .errors import (DecompositionBudgetExceeded, NegativeMultiplicity,
                      NonUnitriangularHomMatrix, NotClosed, ResourceBound)
 from .linalg import (FMatrix, PrimeField, coords_in_rowspace, echelon,
                      injective_images, quotient_projection, reduce_vector,
-                     row_space, rref, rref_pivots, solve_nullspace)
+                     row_space, rref, rref_pivots, scalar_orbits, solve_nullspace)
 
 if TYPE_CHECKING:
     from .algebra import AlgebraSpec
@@ -384,51 +384,57 @@ def compose_homs(outer: Mapping[str, FMatrix],
     return {v: outer[v].mul(inner[v]) for v in outer}
 
 
+def _first_in_span(m: Representation, n: Representation,
+                   test: Callable[[dict[str, FMatrix]], object], bound: int,
+                   error: type[ResourceBound]):
+    """What ``test`` returns on the first map of Hom(m, n) where it returns
+    anything but None; None when no map gets that far.
+
+    The walk runs over the kernel of ``_hom_constraints(m, n)`` with
+    ``linalg.scalar_orbits``, one map per orbit of F_p^*: the zero map
+    (counted, not tested), then the first basis element, the second, the
+    second plus multiples of the first, and so on.  ``test`` must give the
+    same verdict on f and λf.  Raises ``error`` once the summed orbit
+    weights, the zero map included, pass ``bound``; the whole walk weighs
+    p^{dim Hom(m, n)}.
+    """
+    A = _hom_constraints(m, n)
+    kernel = solve_nullspace(A) if A is not None else []
+    field, p = m.field, m.field.p
+    shapes = list(zip(n.dims, m.dims))
+    slots = [(i, r, c) for i, (nrows, ncols) in enumerate(shapes)
+             for r in range(nrows) for c in range(ncols)]  # _unflatten_hom's layout
+    deltas = [[(*slots[j], x) for j, x in enumerate(vec) if x] for vec in kernel]
+    mats = [[[0] * ncols for _ in range(nrows)] for nrows, ncols in shapes]
+    walked = 0
+    for k, weight in enumerate(scalar_orbits(mats, deltas, p)):
+        walked += weight
+        if walked > bound:
+            raise error(f"walk of Hom over F_{p} passes {bound} maps "
+                        f"({p}^{len(kernel)} in all)")
+        if k:
+            f = {v: FMatrix(field, nrows, ncols, tuple(map(tuple, mat)))
+                 for v, (nrows, ncols), mat in zip(m.spec.vertices, shapes, mats)}
+            found = test(f)
+            if found is not None:
+                return found
+    return None
+
+
 def find_isomorphism(m: Representation, n: Representation,
                      search_bound: int = 100_000) -> dict[str, FMatrix] | None:
     """An invertible intertwiner m -> n, or None.
 
-    Basis elements are tried first (covers the brick-to-brick case); then all
-    coefficient combinations up to ``search_bound`` many.
+    One walk of Hom(m, n) by ``_first_in_span``: f and λf are invertible
+    together.  Raises ``ResourceBound`` once the walk passes
+    ``search_bound`` maps.
     """
     if m.dims != n.dims:
         return None
     if m.total_dim == 0:
         return {v: FMatrix.zeros(m.field, 0, 0) for v in m.spec.vertices}
-    basis = hom_space(m, n)
-    if not basis:
-        return None
-    for f in basis:
-        if hom_is_invertible(f):
-            return f
-    p = m.field.p
-    if p ** len(basis) > search_bound:
-        raise ResourceBound(
-            f"isomorphism search over {p}^{len(basis)} combinations exceeds bound")
-    for coeffs in _nonzero_vectors(p, len(basis)):
-        f = _combine(basis, coeffs, m.spec.vertices)
-        if hom_is_invertible(f):
-            return f
-    return None
-
-
-def _nonzero_vectors(p: int, h: int) -> Iterable[tuple[int, ...]]:
-    import itertools
-    for vec in itertools.product(range(p), repeat=h):
-        if any(vec):
-            yield vec
-
-
-def _combine(basis: list[dict[str, FMatrix]], coeffs: Sequence[int],
-             vertices: Sequence[str]) -> dict[str, FMatrix]:
-    out = None
-    for c, f in zip(coeffs, basis):
-        if c == 0:
-            continue
-        scaled = {v: f[v].scale(c) for v in vertices}
-        out = scaled if out is None else {v: out[v].add(scaled[v]) for v in vertices}
-    assert out is not None
-    return out
+    return _first_in_span(m, n, lambda f: f if hom_is_invertible(f) else None,
+                          search_bound, ResourceBound)
 
 
 # ---------------------------------------------------------------------------
@@ -553,88 +559,55 @@ def _fitting_split(m: Representation, f: Mapping[str, FMatrix]):
     return SubspaceTuple(m, tuple(img_rows)), SubspaceTuple(m, tuple(ker_rows))
 
 
-def _is_indecomposable_certified(m: Representation, endos: list[dict[str, FMatrix]],
-                                 bound: int) -> bool:
-    """Certificate that End(m)/rad is one-dimensional over F_p.
-
-    End is local with residue field F_p iff exactly p^h - p^(h-1) of its p^h
-    elements are invertible (the non-invertible ones, p^(h-1) of them, form
-    the radical); this is checked by exact enumeration of the span of
-    ``endos``, the basis of End(m) the caller holds, as one block of
-    ``linalg.injective_images``.
-    """
-    h = len(endos)
-    p = m.field.p
-    if h == 1:
-        return True  # End = F_p . id
-    if p ** h > bound:
-        raise DecompositionBudgetExceeded(
-            f"endomorphism certificate needs {p}^{h} enumerations")
-    units = injective_images(m.dims, [_hom_block(1, m, endos)], m.field)
-    return sum(units.values()) == p ** h - p ** (h - 1)
-
-
-def decompose_with_embeddings(m: Representation, seed: int = 0,
-                              draws: int = 64,
+def decompose_with_embeddings(m: Representation,
                               certificate_bound: int = 1_000_000):
     """Split m into indecomposable summands with explicit embeddings.
 
     Returns a list of (summand, embedding) pairs where the embedding is a
-    vertex-indexed matrix tuple into m.  Splitting draws seeded-random
-    endomorphisms and applies the stable image/kernel decomposition of f^N;
-    indecomposability is certified through the endomorphism ring.
+    vertex-indexed matrix tuple into m.  A summand with dim End = 1 is
+    indecomposable.  Any other is split along the stable image and kernel
+    of f^N for the first endomorphism f that ``_first_in_span`` finds with
+    f^N neither zero nor invertible, and is indecomposable when there is
+    none.
+
+    Why the walk is the certificate.  If m = U ⊕ V with U, V nonzero, the
+    projection e onto U along V is an endomorphism with e^N = e, neither
+    zero nor invertible.  f and λf (λ ≠ 0) have the same Fitting splitting
+    and are invertible together, so walking one map per orbit of F_p^*
+    sees every endomorphism.  A walk that finds no split shows that every
+    endomorphism is nilpotent or invertible; then End(m) is local and m is
+    indecomposable.  Raises ``DecompositionBudgetExceeded`` once a walk
+    passes ``certificate_bound`` maps.
     """
     if m.is_zero():
         return []
-    rng = random.Random(seed)
     identity_embed = {v: FMatrix.identity(m.field, d)
                       for v, d in zip(m.spec.vertices, m.dims)}
     work = [(m, identity_embed)]
     out = []
-    budget = draws
     while work:
         rep, embed = work.pop(0)
-        endos = hom_space(rep, rep)
-        if len(endos) == 1:
+        split = None
+        if hom_dim(rep, rep) > 1:
+            split = _first_in_span(rep, rep, partial(_fitting_split, rep),
+                                   certificate_bound, DecompositionBudgetExceeded)
+        if split is None:
             out.append((rep, embed))
             continue
-        split = None
-        candidates = list(endos)
-        while True:
-            if candidates:
-                f = candidates.pop(0)
-            else:
-                if budget <= 0:
-                    break
-                budget -= 1
-                coeffs = [rng.randrange(rep.field.p) for _ in endos]
-                if not any(coeffs):
-                    continue
-                f = _combine(endos, coeffs, rep.spec.vertices)
-            split = _fitting_split(rep, f)
-            if split is not None:
-                break
-        if split is None:
-            if _is_indecomposable_certified(rep, endos, certificate_bound):
-                out.append((rep, embed))
-                continue
-            raise DecompositionBudgetExceeded(
-                "no splitting endomorphism found within the draw budget")
         for tup in split:
             part, incl = restrict_to_subtuple(rep, tup)
             work.append((part, compose_homs(embed, incl)))
     return out
 
 
-def decompose(m: Representation, seed: int = 0,
-              draws: int = 64) -> list[tuple[Representation, int]]:
+def decompose(m: Representation) -> list[tuple[Representation, int]]:
     """Indecomposable summands with multiplicities.
 
     Summands are grouped by explicit isomorphism and ordered by descending
-    total dimension, then dimension vector, so the output is stable for a
-    fixed seed.
+    total dimension, then dimension vector, so the output depends on m
+    alone.
     """
-    pieces = decompose_with_embeddings(m, seed=seed, draws=draws)
+    pieces = decompose_with_embeddings(m)
     groups: list[tuple[Representation, int]] = []
     for rep, _ in pieces:
         for i, (other, count) in enumerate(groups):

@@ -8,7 +8,9 @@ import sys
 import pytest
 
 import hallie
+import hallie.hall
 from hallie.cli import run
+from hallie.linalg import FMatrix
 
 
 def invoke(capsys, *argv):
@@ -172,6 +174,24 @@ class TestVerifyCommand:
         assert sorted(primes) == [2, 3, 5]
 
 
+    def test_every_mesh_is_checked(self, capsys, monkeypatch):
+        """One stored ν block zeroed in the quiver over F_3, the second
+        verify prime: knitting does not look at ν again, so only the
+        re-check of every mesh can fail."""
+        real = hallie.hall.knit
+
+        def doctored(spec, p, config=None):
+            ar = real(spec, p, config)
+            if p == 3:
+                nu = ar.meshes["1-0"].nu[0]
+                nu["1"] = FMatrix.zeros(ar.field, *nu["1"].shape)
+            return ar
+        monkeypatch.setattr(hallie.hall, "knit", doctored)
+        code, out, err = invoke(capsys, "verify", "--algebra", algebra("a2"))
+        assert code == 1 and not out
+        assert "nu not surjective" in err
+
+
 class TestErrorPaths:
     def test_cyclic_input(self, capsys, tmp_path):
         bad = tmp_path / "cyclic.json"
@@ -224,6 +244,18 @@ class TestErrorPaths:
                               "--triple", "0-1/1-0/1-1", "--jobs", "2")
         assert code == 2
         assert "--jobs" in err
+
+    def test_seed_rejected(self, capsys):
+        """Nothing is drawn at random, so there is no seed to set; the
+        ``config`` block keeps ``"seed": 0`` as a constant."""
+        for argv in (("knit", "--algebra", algebra("a2"), "--seed", "1"),
+                     ("verify", "--algebra", algebra("a2"), "--seed", "0")):
+            with pytest.raises(SystemExit) as exc:
+                run(list(argv))
+            assert exc.value.code == 2
+            assert "--seed" in capsys.readouterr().err
+        code, out, _ = invoke(capsys, "verify", "--algebra", algebra("a2"))
+        assert code == 0 and json.loads(out)["config"]["seed"] == 0
 
     def test_malformed_primes_rejected(self, capsys):
         for flags in (("--primes", "x"), ("--primes", ""), ("--primes", " , ")):

@@ -122,7 +122,7 @@ class TestDirectSum:
 class TestDecompose:
     def test_projective_indecomposable(self, a2):
         p1 = projective_rep(a2, "1", 2)
-        out = decompose(p1, seed=0)
+        out = decompose(p1)
         assert len(out) == 1
         rep, mult = out[0]
         assert mult == 1 and rep.dims == (1, 1)
@@ -130,7 +130,7 @@ class TestDecompose:
     def test_simple_square(self, a2):
         s1 = simple_rep(a2, "1", 2)
         m = direct_sum(a2, s1.field, [s1, s1])
-        out = decompose(m, seed=0)
+        out = decompose(m)
         assert len(out) == 1
         rep, mult = out[0]
         assert mult == 2 and rep.dims == (1, 0)
@@ -140,7 +140,7 @@ class TestDecompose:
         m = direct_sum(a2, field, [projective_rep(a2, "1", 3),
                                    simple_rep(a2, "2", 3),
                                    simple_rep(a2, "2", 3)])
-        out = decompose(m, seed=0)
+        out = decompose(m)
         assert [(rep.dims, mult) for rep, mult in out] == [((1, 1), 1), ((0, 1), 2)]
 
     def test_square_radical_is_indecomposable(self, algebras):
@@ -154,21 +154,21 @@ class TestDecompose:
         rad, _ = restrict_to_subtuple(p1, radical_tuple(p1, "1"))
         assert rad.dims == (0, 1, 1, 1)
         assert hom_dim(rad, rad) == 1  # independent certificate
-        out = decompose(rad, seed=0)
+        out = decompose(rad)
         assert [(rep.dims, mult) for rep, mult in out] == [((0, 1, 1, 1), 1)]
 
     def test_deterministic(self, a2):
         field = PrimeField(2)
         m = direct_sum(a2, field, [projective_rep(a2, "1", 2),
                                    simple_rep(a2, "1", 2)])
-        first = decompose(m, seed=7)
-        second = decompose(m, seed=7)
+        first = decompose(m)
+        second = decompose(m)
         assert [(r.dims, c) for r, c in first] == [(r.dims, c) for r, c in second]
 
 
 class TestIndecomposableCertificate:
-    """Modules that no endomorphism splits, so that ``decompose`` falls
-    back on counting the units of End."""
+    """Modules that no endomorphism splits, so that ``decompose`` walks the
+    whole of End before it calls them indecomposable."""
 
     @staticmethod
     def kronecker_block(p):
@@ -188,14 +188,28 @@ class TestIndecomposableCertificate:
     def test_local_endomorphism_ring_is_certified(self, p):
         m = self.kronecker_block(p)
         assert len(hom_space(m, m)) == 2
-        assert [(rep.dims, mult) for rep, mult in decompose(m, seed=0)] == [((2, 2), 1)]
+        assert [(rep.dims, mult) for rep, mult in decompose(m)] == [((2, 2), 1)]
 
     @pytest.mark.parametrize("p", [2, 3])
-    def test_split_module_is_not_certified(self, a2, p):
-        # End(S1 + S1) = M_2(F_p): |GL_2(F_p)| units, not p^4 - p^3
+    def test_split_module_splits(self, a2, p):
         s1 = simple_rep(a2, "1", p)
         m = direct_sum(a2, s1.field, [s1, s1])
-        assert not reps._is_indecomposable_certified(m, hom_space(m, m), 10 ** 6)
+        assert [(rep.dims, mult) for rep, mult in decompose(m)] == [((1, 0), 2)]
+
+    def test_split_found_past_the_basis(self, a2, monkeypatch):
+        """End(S1 ⊕ S1) handed over as the basis [I, I + E11] over F_3:
+        both elements are invertible, so neither splits, and the walk must
+        reach 2I + E11 = diag(0, 2)."""
+        real = reps.solve_nullspace
+
+        def doctored(A):
+            if (A.nrows, A.ncols) == (0, 4):  # the End constraints of S1 ⊕ S1
+                return [(1, 0, 0, 1), (2, 0, 0, 1)]
+            return real(A)
+        monkeypatch.setattr(reps, "solve_nullspace", doctored)
+        s1 = simple_rep(a2, "1", 3)
+        m = direct_sum(a2, s1.field, [s1, s1])
+        assert [(rep.dims, mult) for rep, mult in decompose(m)] == [((1, 0), 2)]
 
     def test_certificate_bound(self):
         m = self.kronecker_block(2)
@@ -233,7 +247,7 @@ class TestIdentify:
                                        simple_rep(a2, "1", 3),
                                        simple_rep(a2, "1", 3)])
         parts = []
-        for rep, mult in decompose(m, seed=0):
+        for rep, mult in decompose(m):
             parts.extend([rep] * mult)
         rebuilt = direct_sum(a2, ar2.field, parts)
         assert identify(rebuilt, ar2) == identify(m, ar2)
@@ -309,6 +323,18 @@ class TestFindIsomorphism:
         q = projective_rep(a2, "1", 3)
         iso = find_isomorphism(p, q)
         assert iso is not None
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_isomorphism_past_the_basis(self, a2, p):
+        """Hom(S1 ⊕ S1, S1 ⊕ S1) has the unit matrices E_ij as its basis,
+        and none is invertible: the walk must combine them."""
+        s1 = simple_rep(a2, "1", p)
+        m = direct_sum(a2, s1.field, [s1, s1])
+        assert all(not reps.hom_is_invertible(f) for f in hom_space(m, m))
+        iso = find_isomorphism(m, m)
+        assert iso is not None and reps.hom_is_invertible(iso)
+        with pytest.raises(ResourceBound):
+            find_isomorphism(m, m, search_bound=2)
 
     def test_distinguishes_nonisomorphic(self, a2):
         field = PrimeField(2)

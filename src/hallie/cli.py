@@ -21,7 +21,8 @@ import sys
 
 from . import __version__
 from .algebra import AlgebraSpec, parse_algebra
-from .errors import HallieError, InputError, ResourceBound, VerificationError
+from .errors import (FieldDependenceDetected, HallieError, InputError,
+                     ResourceBound, VerificationError)
 from .hall import ARFamily, HallConfig
 from .knit import ar_sequence, ar_to_doc
 from .liealg import (compare_with_root_system, euler_lie_table, hall_lie_table,
@@ -293,22 +294,45 @@ def cmd_verify(args) -> int:
     spec, digest = _load_spec(args.algebra)
     primes = parse_primes(args.primes, default=[2, 3])
     family = _family(spec, args)
-    checks: list[CheckResult] = []
+    checks = _verify_checks(spec, family, primes)
+    report = Report(checks)
+    doc = _provenance(args, digest, primes)
+    doc.update(report.to_doc())
+    rows = [("check", "ok", "detail")]
+    rows += [(c.name, int(c.ok), c.detail) for c in checks]
+    lines = [f"{'ok ' if c.ok else 'FAIL'} {c.name}: {c.detail}" for c in checks]
+    lines.append("all checks passed" if report.ok else "VERIFICATION FAILED")
+    _emit(doc, args.format, rows, lines)
+    return EXIT_OK if report.ok else EXIT_VERIFICATION
 
-    ar = family.quiver(primes[0])
-    checks.append(CheckResult("knit", True,
-                              f"{len(ar.vertices)} indecomposables over F_{primes[0]}"))
-    for p in primes:
-        # family.quiver raises FieldDependenceDetected on a mismatch, and
-        # ar_sequence on a mesh that is not exact
-        quiver = family.quiver(p)
-        for z in quiver.meshes:
-            ar_sequence(quiver, z)
+
+def _verify_checks(spec: AlgebraSpec, family: ARFamily,
+                   primes: list[int]) -> list[CheckResult]:
+    """The checks of ``verify``.  A ``VerificationError`` fails "knit", "field
+    independence" or "lie closure", and the checks after it do not run."""
+    checks: list[CheckResult] = []
+    try:
+        ar = family.quiver(primes[0])
+        checks.append(CheckResult("knit", True,
+                                  f"{len(ar.vertices)} indecomposables over F_{primes[0]}"))
+        for p in primes:
+            # family.quiver raises FieldDependenceDetected on a mismatch, and
+            # ar_sequence on a mesh that is not exact
+            quiver = family.quiver(p)
+            for z in quiver.meshes:
+                ar_sequence(quiver, z)
+    except FieldDependenceDetected as exc:
+        return checks + [CheckResult("field independence", False, str(exc))]
+    except VerificationError as exc:
+        return [CheckResult("knit", False, str(exc))]
     if len(primes) >= 2:
         checks.append(CheckResult("field independence", True,
                                   f"identical over primes {primes}"))
 
-    kt = hall_lie_table(family)
+    try:
+        kt = hall_lie_table(family)
+    except VerificationError as exc:
+        return checks + [CheckResult("lie closure", False, str(exc))]
     lt = euler_lie_table(kt)
     checks.append(CheckResult("lie closure", True,
                               "commutators supported on indecomposables"))
@@ -338,16 +362,7 @@ def cmd_verify(args) -> int:
     else:
         checks.append(CheckResult("root system comparison", True,
                                   "skipped: algebra has relations"))
-
-    report = Report(checks)
-    doc = _provenance(args, digest, primes)
-    doc.update(report.to_doc())
-    rows = [("check", "ok", "detail")]
-    rows += [(c.name, int(c.ok), c.detail) for c in checks]
-    lines = [f"{'ok ' if c.ok else 'FAIL'} {c.name}: {c.detail}" for c in checks]
-    lines.append("all checks passed" if report.ok else "VERIFICATION FAILED")
-    _emit(doc, args.format, rows, lines)
-    return EXIT_OK if report.ok else EXIT_VERIFICATION
+    return checks
 
 
 def run(argv=None) -> int:

@@ -21,10 +21,9 @@ counting routes are provided, and each answers a whole row at once:
   shape of m once (in quiver-topological vertex order, so closure
   constraints prune the walk, each candidate built as its reduced echelon
   basis by ``linalg.subspaces_between``) and answers every pair (a, c) of
-  sub and quotient classes of every shape, memoized on the quiver per
-  ambient module (``ARQuiver.grass_rows``).  It classifies each sub by
-  its into-vector and each quotient by its out-of vector, read off the
-  Hom bases of m (``ARQuiver.hom_frame``) on the distinguishing set of
+  sub and quotient classes of every shape, by shape.  It classifies each
+  sub by its into-vector and each quotient by its out-of vector, read off
+  the Hom bases of m (``ARQuiver.hom_frame``) on the distinguishing set of
   the dimension vector only (``ARQuiver.distinguishing_set``).  It is the
   reference route of ``check_oracle_equivalence``.
 * ``hall_numbers_hom`` enumerates the injective homomorphisms from a
@@ -42,14 +41,17 @@ counting routes are provided, and each answers a whole row at once:
   ``check_oracle_equivalence``, which compares all three routes.
 
 ``hall_number_grass`` and ``hall_number_hom`` answer one triple by looking
-it up in its row.  The routes ask the knitted ``ARQuiver`` for what it
-memoizes: the classes of each dimension vector, the class of each module
-they identify, the Hom bases of each ambient module and the distinguishing
-set of each dimension vector.  The quivers an ``ARFamily`` knits over
-several primes share one memo of the classes, Hom vectors and
-distinguishing sets, which depend only on the knitted order and the Hom
-matrix (``ARQuiver.share_memos`` checks that both agree); the memos of
-modules, Hom bases, |Aut| and Hall numbers stay with each prime's quiver.
+it up in its row.  Each route's walk raises ``ResourceBound`` past one
+module constant, read at call time: ``linalg.SUBSPACE_CAP``,
+``reps.HOM_WALK_BOUND`` or ``EXT_WALK_BOUND``.  The routes ask the knitted
+``ARQuiver`` for what it memoizes: the classes of each dimension vector,
+the class of each module they identify, the Hom bases of each ambient
+module and the distinguishing set of each dimension vector.  The quivers
+an ``ARFamily`` knits over several primes share one memo of the classes,
+Hom vectors and distinguishing sets, which depend only on the knitted
+order and the Hom matrix (``ARQuiver.share_memos`` checks that both
+agree); the memos of modules, Hom bases, |Aut| and Hall numbers stay with
+each prime's quiver.
 
 Interpolation: counts are taken at the first D+2 primes not on the excluded
 list, where D is the degree bound min(Σ e(d−e), hom(a,b) − end(a),
@@ -71,6 +73,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from . import linalg, reps
 from .algebra import AlgebraSpec
 from .errors import (ExtDimensionMismatch, InconsistentCounts,
                      NegativeMultiplicity, NonIntegralCoefficients,
@@ -84,7 +87,7 @@ from .reps import (MultiplicityVector, Representation, SubspaceTuple, ext_space,
                    hom_dim, middle_term)
 
 # p^{dim Ext¹(c, a)} past which ``hall_numbers_ext`` raises ResourceBound
-# instead of walking the extension classes, as ``hom_bound`` does for maps.
+# instead of walking the extension classes.
 EXT_WALK_BOUND = 1_000_000
 
 
@@ -112,33 +115,27 @@ def first_primes(count: int, excluded: Sequence[int] = ()) -> list[int]:
 # Counting
 
 
-def closed_subspace_tuples(m: Representation, e: Sequence[int] | None = None,
-                           cap: int = 10_000_000) -> Iterator[SubspaceTuple]:
-    """All arrow-stable subspace tuples of shape e inside m, or of every
-    shape when e is None, exactly once.
+def closed_subspace_tuples(m: Representation) -> Iterator[SubspaceTuple]:
+    """All arrow-stable subspace tuples of every shape inside m, exactly
+    once.
 
     Vertices are filled one at a time; the subspace at a vertex is pinched
     between the span of the images along arrows from already-chosen sources
     (a lower bound) and the intersection of preimages along arrows into
-    already-chosen targets (an upper bound), so every emitted tuple is
-    stable by construction and dead branches are pruned early; with e None
-    a vertex takes every dimension between its bounds.  The fill order
-    (topological or its reverse, whichever leaves fewer unconstrained
-    choices) changes only the speed.  ``cap`` bounds the tuples yielded.
+    already-chosen targets (an upper bound), and takes every dimension
+    between them, so every emitted tuple is stable by construction.  The
+    fill order (topological or its reverse, whichever leaves fewer
+    unconstrained choices) changes only the speed.  Raises ResourceBound
+    once the tuples yielded pass ``linalg.SUBSPACE_CAP``.
     """
     spec, field = m.spec, m.field
     verts = spec.vertices
     index = {v: i for i, v in enumerate(verts)}
-    if e is not None:
-        if len(e) != len(verts) or any(x < 0 for x in e):
-            raise ValueError("bad shape vector")
-        if any(e[i] > m.dims[i] for i in range(len(verts))):
-            return
-    order = _fill_order(m, e)
-    produced = 0
+    order = _fill_order(m)
+    produced, cap = 0, linalg.SUBSPACE_CAP
     chosen: dict[str, FMatrix] = {}
 
-    def bounds(v: str, want: int | None) -> tuple[FMatrix, FMatrix] | None:
+    def bounds(v: str) -> tuple[FMatrix, FMatrix]:
         d = m.dims[index[v]]
         lower_rows = []
         for a in spec.arrows_into(v):
@@ -147,15 +144,11 @@ def closed_subspace_tuples(m: Representation, e: Sequence[int] | None = None,
                 lower_rows.extend(mat.apply(row) for row in chosen[a.source].rows)
         lower = (row_space(FMatrix.from_rows(field, lower_rows, ncols=d))
                  if lower_rows else FMatrix.zeros(field, 0, d))
-        if lower.nrows > (d if want is None else want):
-            return None
         upper = FMatrix.identity(field, d)
         for a in spec.arrows_from(v):
             if a.target in chosen:
                 upper = intersect_subspaces(
                     upper, preimage_subspace(m.maps[a.id], chosen[a.target]))
-                if upper.nrows < (want or 0):
-                    return None
         return lower, upper
 
     def recurse(pos: int) -> Iterator[SubspaceTuple]:
@@ -163,17 +156,11 @@ def closed_subspace_tuples(m: Representation, e: Sequence[int] | None = None,
         if pos == len(order):
             produced += 1
             if produced > cap:
-                raise ResourceBound(
-                    f"subspace tuple enumeration exceeded cap {cap}")
+                raise ResourceBound(f"subspace tuple enumeration exceeded cap {cap}")
             yield SubspaceTuple(m, tuple(chosen[v] for v in verts))
             return
         v = order[pos]
-        want = None if e is None else e[index[v]]
-        pinch = bounds(v, want)
-        if pinch is None:
-            return
-        lower, upper = pinch
-        for candidate in subspaces_between(lower, upper, want, cap=cap):
+        for candidate in subspaces_between(*bounds(v)):
             chosen[v] = candidate
             yield from recurse(pos + 1)
         chosen.pop(v, None)
@@ -181,10 +168,10 @@ def closed_subspace_tuples(m: Representation, e: Sequence[int] | None = None,
     yield from recurse(0)
 
 
-def _fill_order(m: Representation, e: Sequence[int] | None) -> tuple[str, ...]:
+def _fill_order(m: Representation) -> tuple[str, ...]:
     """Topological or reverse-topological fill order, whichever has the
-    smaller product of unconstrained per-vertex subspace counts (of every
-    dimension when e is None)."""
+    smaller product of unconstrained per-vertex subspace counts, of every
+    dimension."""
     spec = m.spec
     index = {v: i for i, v in enumerate(spec.vertices)}
     p = m.field.p
@@ -197,8 +184,7 @@ def _fill_order(m: Representation, e: Sequence[int] | None) -> tuple[str, ...]:
                            or any(a.target in seen for a in spec.arrows_from(v)))
             if not constrained:
                 d = m.dims[index[v]]
-                total *= sum(gaussian_binomial(d, k, p) for k in
-                             (range(d + 1) if e is None else (e[index[v]],)))
+                total *= sum(gaussian_binomial(d, k, p) for k in range(d + 1))
             seen.add(v)
         return total
 
@@ -216,16 +202,12 @@ def _dim_law_holds(n1: Representation, n2: Representation,
     return tuple(a + b for a, b in zip(n1.dims, n2.dims)) == m.dims
 
 
-def hall_numbers_grass(ar: ARQuiver, m: Representation, e: Sequence[int],
-                       cap: int = 10_000_000
-                       ) -> dict[tuple[MultiplicityVector, MultiplicityVector], int]:
-    """The Hall numbers of m over every pair of classes (a, c), a of
-    dimension vector e: {(a, c): number of submodules U ≅ a with m/U ≅ c},
-    read off the rows of every shape of m, counted in one walk of the
-    stable subspace tuples and memoized per ambient module in
-    ``ar.grass_rows``, so a sweep over the shapes walks m once.  ``cap``
-    bounds the tuples of that whole walk, and only the call that walks:
-    once m's rows are memoized they are served whatever the cap.
+def hall_numbers_grass(ar: ARQuiver, m: Representation
+                       ) -> dict[tuple[int, ...], dict[tuple, int]]:
+    """The Hall numbers of m over every pair of classes (a, c), by the
+    shape of a: {shape: {(a, c): number of submodules U ≅ a with m/U ≅ c}},
+    counted in one walk of the stable subspace tuples of every shape
+    (``closed_subspace_tuples``, bounded by ``linalg.SUBSPACE_CAP``).
 
     Each tuple's sub is classified by its into-vector and its quotient by
     its out-of vector, both read off the Hom bases of m (``ARQuiver.
@@ -243,24 +225,9 @@ def hall_numbers_grass(ar: ARQuiver, m: Representation, e: Sequence[int],
     * hence the class whose vector agrees with the module's on that set is
       the module's class.
     """
-    e = tuple(e)
-    if len(e) != len(m.dims) or min(e, default=0) < 0:
-        raise ValueError("bad shape vector")
-    if any(x > y for x, y in zip(e, m.dims)):
-        return {}
-    rows = ar.grass_rows.get(m)
-    if rows is None:
-        rows = ar.grass_rows[m] = _grass_rows(ar, m, None, cap)
-    return dict(rows.get(e, {}))
-
-
-def _grass_rows(ar: ARQuiver, m: Representation, e: tuple[int, ...] | None,
-                cap: int) -> dict[tuple[int, ...], dict]:
-    """{shape: row of ``hall_numbers_grass``} from one walk of the tuples
-    of shape e, or of every shape when e is None."""
     frame = ar.hom_frame(m)
     rows: dict[tuple[int, ...], dict] = {}
-    for tup in closed_subspace_tuples(m, e, cap=cap):
+    for tup in closed_subspace_tuples(m):
         shape = tup.dims
         sub_coords, subs = ar.distinguishing_set(shape)
         quot_coords, quots = ar.distinguishing_set(
@@ -284,27 +251,22 @@ def _lookup(table: dict[tuple[int, ...], MultiplicityVector],
 
 
 def hall_number_grass(ar: ARQuiver, n1: Representation, n2: Representation,
-                      m: Representation, cap: int = 10_000_000) -> int:
+                      m: Representation) -> int:
     """Submodules of m isomorphic to n1 with quotient isomorphic to n2: the
     entry (class of n1, class of n2) of ``hall_numbers_grass``, settled as
-    0 without enumeration when Hom(n1, m) or Hom(m, n2) is zero.  It reads
-    m's rows of every shape from ``ar.grass_rows`` when a row function has
-    filled them; otherwise it walks n1's shape alone, unmemoized, and
-    ``cap`` bounds that walk."""
+    0 without enumeration when Hom(n1, m) or Hom(m, n2) is zero."""
     if not _dim_law_holds(n1, n2, m):
         return 0
     if n1.total_dim and hom_dim(n1, m) == 0:
         return 0
     if n2.total_dim and hom_dim(m, n2) == 0:
         return 0
-    rows = ar.grass_rows.get(m)
-    if rows is None:
-        rows = _grass_rows(ar, m, n1.dims, cap)
-    return rows.get(n1.dims, {}).get((ar.class_of(n1), ar.class_of(n2)), 0)
+    row = hall_numbers_grass(ar, m).get(n1.dims, {})
+    return row.get((ar.class_of(n1), ar.class_of(n2)), 0)
 
 
-def hall_numbers_hom(ar: ARQuiver, a: MultiplicityVector, m: Representation,
-                     hom_bound: int = 1_000_000) -> dict[MultiplicityVector, int]:
+def hall_numbers_hom(ar: ARQuiver, a: MultiplicityVector,
+                     m: Representation) -> dict[MultiplicityVector, int]:
     """The same numbers through injective homomorphisms n1 -> m, n1 a
     module of class a, for every quotient class at once: {c: number of
     images U of injective maps with m/U of class c}.
@@ -334,15 +296,15 @@ def hall_numbers_hom(ar: ARQuiver, a: MultiplicityVector, m: Representation,
     reached by exactly |Aut(n1)| maps (else ``NonIntegralOrbitCount``),
     the closed form ``ARQuiver.class_aut_order`` that the Ext route
     divides by.  Raises ``ResourceBound`` when p^{dim Hom(n1, m)} exceeds
-    ``hom_bound``.
+    ``reps.HOM_WALK_BOUND``.
     """
     p = m.field.p
     frame = ar.hom_frame(m)
     runs = sorted((ar.by_id[x].index, n) for x, n in a.items())
     h = sum(n * len(frame.into_basis(k)) for k, n in runs)
-    if p ** h > hom_bound:
+    if p ** h > reps.HOM_WALK_BOUND:
         raise ResourceBound(
-            f"hom enumeration needs {p}^{h} maps > bound {hom_bound}")
+            f"hom enumeration needs {p}^{h} maps > bound {reps.HOM_WALK_BOUND}")
     aut = ar.class_aut_order(a)
     rest = tuple(y - x for x, y in zip(ar.class_dim_vector(a), m.dims))
     classes = ar.module_classes(rest)
@@ -364,13 +326,13 @@ def hall_numbers_hom(ar: ARQuiver, a: MultiplicityVector, m: Representation,
 
 
 def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
-                    m: Representation, hom_bound: int = 1_000_000) -> int:
+                    m: Representation) -> int:
     """Submodules of m isomorphic to n1 with quotient isomorphic to n2 by
     the hom oracle: the entry (class of n2) of the ``hall_numbers_hom``
     row of the class of n1."""
     if not _dim_law_holds(n1, n2, m):
         return 0
-    row = hall_numbers_hom(ar, ar.class_of(n1), m, hom_bound=hom_bound)
+    row = hall_numbers_hom(ar, ar.class_of(n1), m)
     return row.get(ar.class_of(n2), 0)
 
 
@@ -766,7 +728,7 @@ class OracleEquivalenceReport:
 
 
 def check_oracle_equivalence(spec: AlgebraSpec, primes: Sequence[int],
-                             max_total_dim: int, hom_bound: int = 1_000_000,
+                             max_total_dim: int,
                              jobs: int = 1) -> OracleEquivalenceReport:
     """Compare the three counting routes on every triple of module classes
     whose members each have total dimension at most ``max_total_dim``.
@@ -775,15 +737,15 @@ def check_oracle_equivalence(spec: AlgebraSpec, primes: Sequence[int],
     row over every quotient class c; per b, one grass walk of every shape
     of b, with rows over every (a, c) of each shape.  That walk runs on the
     first shape of b with an a that is not skipped and takes in every
-    shape, those whose hom rows are all skipped too; its cap bounds the
-    whole walk.  The resource bound of the hom oracle depends on (b, a)
-    only (p^{dim Hom(a, b)}), so when the hom row of (b, a) exceeds it
-    every triple (a, c, b) is recorded as skipped (the hom oracle's
-    precondition fails there) and no route counts it.  On every other
-    triple the grass and hom counts must agree exactly, and so must the
-    Ext route's (walked once per (a, c) on the prime's quiver).  A
-    mismatch is recorded as (p, a, c, b, grass, hom, ext).  The sweep runs
-    in one process: ``jobs`` must be 1.
+    shape, those whose hom rows are all skipped too; ``linalg.SUBSPACE_CAP``
+    bounds the whole walk.  The resource bound of the hom oracle depends on
+    (b, a) only (p^{dim Hom(a, b)} against ``reps.HOM_WALK_BOUND``), so when
+    the hom row of (b, a) exceeds it every triple (a, c, b) is recorded as
+    skipped (the hom oracle's precondition fails there) and no route counts
+    it.  On every other triple the grass and hom counts must agree exactly,
+    and so must the Ext route's (walked once per (a, c) on the prime's
+    quiver).  A mismatch is recorded as (p, a, c, b, grass, hom, ext).  The
+    sweep runs in one process: ``jobs`` must be 1.
     """
     from .liealg import enumerate_module_classes
 
@@ -799,18 +761,21 @@ def check_oracle_equivalence(spec: AlgebraSpec, primes: Sequence[int],
         for d in dim_vectors:
             for b in enumerate_module_classes(ar, d):
                 m = ar.class_module(b)
+                by_shape = None
                 for e in itertools.product(*(range(x + 1) for x in d)):
                     rest = tuple(x - y for x, y in zip(d, e))
                     quotients = enumerate_module_classes(ar, rest)
                     hom_rows = {}
                     for a in enumerate_module_classes(ar, e):
                         try:
-                            hom_rows[a] = hall_numbers_hom(ar, a, m, hom_bound)
+                            hom_rows[a] = hall_numbers_hom(ar, a, m)
                         except ResourceBound:
                             skipped += len(quotients)
                     if not hom_rows:
                         continue
-                    grass_row = hall_numbers_grass(ar, m, e)
+                    if by_shape is None:
+                        by_shape = hall_numbers_grass(ar, m)
+                    grass_row = by_shape.get(e, {})
                     for a, hom_row in hom_rows.items():
                         for c in quotients:
                             grass = grass_row.get((a, c), 0)

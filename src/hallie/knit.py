@@ -95,11 +95,10 @@ class ARQuiver:
     (``hom_vectors``, ``class_aut_order``), the module of each class
     (``class_module``), the class ``identify`` found for each module it was
     asked about (``class_of``), the Hom bases of each ambient module the
-    subspace and hom routes count in (``hom_frame``), the distinguishing
-    coordinates of each dimension vector and bounds
-    (``distinguishing_set``), the Hall numbers of each pair (a, c) from one
-    walk of Ext¹(c, a) (``ext_tables``) and the subspace route's rows of
-    every shape of each ambient module (``grass_rows``).
+    subspace and hom routes count in (``hom_frame``, dropped by
+    ``forget``), the distinguishing coordinates of each dimension vector
+    and bounds (``distinguishing_set``) and the Hall numbers of each pair
+    (a, c) from one walk of Ext¹(c, a) (``ext_tables``).
     The class lists, Hom vectors and distinguishing sets do not depend on
     the prime once the knitted order and the Hom matrix agree, and the
     quivers of one ``hall.ARFamily`` share them (``share_memos``, which
@@ -130,7 +129,6 @@ class ARQuiver:
         self._modules: dict[MultiplicityVector, Representation] = {}
         self.ext_tables: dict[tuple[MultiplicityVector, MultiplicityVector],
                               dict[MultiplicityVector, int]] = {}
-        self.grass_rows: dict[Representation, dict[tuple[int, ...], dict]] = {}
 
     def share_memos(self, first: "ARQuiver") -> None:
         """Read and fill the memos of ``module_classes``, ``hom_vectors`` and
@@ -319,9 +317,8 @@ class ARQuiver:
         return frame
 
     def forget(self, m: Representation) -> None:
-        """Drop the frame and the rows of every shape kept for module m."""
+        """Drop the frame kept for module m."""
         self._frames.pop(m, None)
-        self.grass_rows.pop(m, None)
 
     def distinguishing_set(self, d: Sequence[int], outof: bool = False,
                            bounds: tuple[Sequence[int], Sequence[int]] | None = None

@@ -31,6 +31,9 @@ from .knit import ARQuiver
 from .reps import MultiplicityVector
 from .report import CheckResult, Report
 
+# Positive roots past which ``positive_roots`` raises NotFiniteType.
+ROOT_CAP = 10_000
+
 
 class GradedVector:
     """Finite integer combination of module classes."""
@@ -265,9 +268,10 @@ class RootSystem:
         self.positive_roots = positive_roots
 
 
-def positive_roots(cartan: Sequence[Sequence[int]], cap: int = 10_000) -> RootSystem:
+def positive_roots(cartan: Sequence[Sequence[int]]) -> RootSystem:
     """All positive roots of a simply-laced Cartan matrix by reflection
-    closure from the simple roots, keeping positive vectors only."""
+    closure from the simple roots, keeping positive vectors only; raises
+    ``NotFiniteType`` once there are more than ``ROOT_CAP``."""
     n = len(cartan)
     for i, row in enumerate(cartan):
         if len(row) != n or row[i] != 2:
@@ -295,9 +299,9 @@ def positive_roots(cartan: Sequence[Sequence[int]], cap: int = 10_000) -> RootSy
                 if all(x >= 0 for x in w) and w not in roots:
                     roots.add(w)
                     nxt.append(w)
-        if len(roots) > cap:
+        if len(roots) > ROOT_CAP:
             raise NotFiniteType(
-                f"reflection closure exceeded {cap} positive roots")
+                f"reflection closure exceeded {ROOT_CAP} positive roots")
         frontier = nxt
     ordered = sorted(roots, key=lambda v: (sum(v), v))
     return RootSystem(tuple(tuple(r) for r in cartan), tuple(ordered))

@@ -17,6 +17,10 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import ResourceBound
 
+# Subspaces of one dimension past which ``enumerate_subspaces`` raises
+# ResourceBound, and the bound of ``hall.closed_subspace_tuples`` too.
+SUBSPACE_CAP = 10_000_000
+
 
 def is_prime(n: int) -> bool:
     """Primality by trial division; anything below 2 is not prime."""
@@ -521,20 +525,10 @@ def row_space(m: FMatrix) -> FMatrix:
 
 
 def solve_nullspace(m: FMatrix) -> list[tuple[int, ...]]:
-    """A basis of the right kernel {v : m v = 0}, one vector per free column."""
-    res = rref(m)
-    p = m.field.p
-    pivot_set = set(res.pivots)
-    basis = []
-    for free in range(m.ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * m.ncols
-        v[free] = 1
-        for i, c in enumerate(res.pivots):
-            v[c] = (-res.matrix.rows[i][free]) % p
-        basis.append(tuple(v))
-    return basis
+    """A basis of the right kernel {v : m v = 0}, one vector per free column:
+    the rows of ``quotient_projection`` of the row space, whose kernel it
+    is."""
+    return list(quotient_projection(row_space(m)).rows)
 
 
 def gaussian_binomial(d: int, e: int, p: int) -> int:
@@ -549,21 +543,20 @@ def gaussian_binomial(d: int, e: int, p: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(d: int, e: int, field: PrimeField,
-                        cap: int = 10_000_000) -> Iterator[FMatrix]:
+def enumerate_subspaces(d: int, e: int, field: PrimeField) -> Iterator[FMatrix]:
     """Every e-dimensional subspace of F_p^d, exactly once, as a canonical
     reduced-echelon basis matrix (e rows, d columns).
 
     Subspaces are generated by pivot-column pattern, then by free entries;
     the count is the Gaussian binomial.  Raises ResourceBound if that count
-    exceeds ``cap``.
+    exceeds ``SUBSPACE_CAP``.
     """
     if e < 0 or e > d:
         raise ValueError(f"need 0 <= e <= d, got e={e}, d={d}")
     total = gaussian_binomial(d, e, field.p)
-    if total > cap:
-        raise ResourceBound(
-            f"{total} subspaces of dimension {e} in F_{field.p}^{d} exceeds cap {cap}")
+    if total > SUBSPACE_CAP:
+        raise ResourceBound(f"{total} subspaces of dimension {e} in F_{field.p}^{d} "
+                            f"exceeds cap {SUBSPACE_CAP}")
     p = field.p
     for pivots in itertools.combinations(range(d), e):
         pivot_set = set(pivots)
@@ -572,9 +565,6 @@ def enumerate_subspaces(d: int, e: int, field: PrimeField,
         base = [[0] * d for _ in range(e)]
         for i, c in enumerate(pivots):
             base[i][c] = 1
-        if not free:
-            yield FMatrix(field, e, d, tuple(tuple(r) for r in base))
-            continue
         for values in itertools.product(range(p), repeat=len(free)):
             rows = [row[:] for row in base]
             for (i, j), v in zip(free, values):
@@ -583,18 +573,27 @@ def enumerate_subspaces(d: int, e: int, field: PrimeField,
 
 
 def quotient_projection(base: FMatrix) -> FMatrix:
-    """Projection of F_p^d onto the complement coordinates of the RREF
-    basis R of ``base``: a (d-r) x d matrix whose kernel is exactly the row
-    space of ``base``.  Coordinate k of the projection of v is v_k minus
+    """Projection of F_p^d onto the complement coordinates of a reduced
+    echelon basis R (``rref_pivots`` checks it, raising ``ValueError`` on
+    anything else): a (d-r) x d matrix whose kernel is exactly the row
+    space of R.  Coordinate k of the projection of v is v_k minus
     Σ_i v[c_i] R_i[k] over the pivots c_i, so row k is e_k minus R_i[k] at
-    each c_i: the null space vector of free column k (``solve_nullspace``)."""
-    rows = solve_nullspace(base)
-    return FMatrix(base.field, len(rows), base.ncols, tuple(rows))
+    each c_i: the null space vector of free column k of R."""
+    pivots = rref_pivots(base)
+    p, d = base.field.p, base.ncols
+    rows = []
+    for free in (k for k in range(d) if k not in pivots):
+        v = [0] * d
+        v[free] = 1
+        for row, c in zip(base.rows, pivots):
+            v[c] = -row[free] % p
+        rows.append(tuple(v))
+    return FMatrix(base.field, len(rows), d, tuple(rows))
 
 
 def preimage_subspace(m: FMatrix, base: FMatrix) -> FMatrix:
     """Canonical basis of {x : m x in rowspace(base)}; m maps F_p^s -> F_p^t
-    and ``base`` spans a subspace of F_p^t."""
+    and ``base`` is a reduced echelon basis of a subspace of F_p^t."""
     proj = quotient_projection(base)
     constrained = proj.mul(m)
     kernel = solve_nullspace(constrained)
@@ -602,7 +601,7 @@ def preimage_subspace(m: FMatrix, base: FMatrix) -> FMatrix:
 
 
 def intersect_subspaces(a: FMatrix, b: FMatrix) -> FMatrix:
-    """Canonical basis of the intersection of two row spaces."""
+    """Canonical basis of the intersection of two reduced echelon row spaces."""
     stacked = vstack(a.field, [quotient_projection(a), quotient_projection(b)],
                      ncols=a.ncols)
     kernel = solve_nullspace(stacked)
@@ -616,13 +615,12 @@ def subspace_contains(outer: FMatrix, inner: FMatrix) -> bool:
                for v in inner.rows)
 
 
-def subspaces_between(lower: FMatrix, upper: FMatrix, e: int | None = None,
-                      cap: int = 10_000_000) -> Iterator[FMatrix]:
-    """Every subspace W with lower <= W <= upper, of dimension e or, when e
-    is None, of every dimension, as canonical RREF bases: one ``rref`` of
-    upper gives B, row k led by a 1 at q_k, the rows of lower are solved
-    for their coordinates in B once, and each superspace w of their span
-    (``enumerate_superspaces``) is mapped back to w·B.
+def subspaces_between(lower: FMatrix, upper: FMatrix) -> Iterator[FMatrix]:
+    """Every subspace W with lower <= W <= upper, dimension by dimension,
+    as canonical RREF bases: one ``rref`` of upper gives B, row k led by a
+    1 at q_k, the rows of lower are solved for their coordinates in B once,
+    and each superspace w of their span (``enumerate_superspaces``) is
+    mapped back to w·B.
 
     w·B is reduced echelon: with w reduced echelon, row i led by a 1 at
     t_i, row i of w·B = Σ_k w_ik B_k is zero before q_{t_i} and 1 there,
@@ -630,7 +628,7 @@ def subspaces_between(lower: FMatrix, upper: FMatrix, e: int | None = None,
     """
     up = rref(upper)
     if up.rank == upper.ncols:  # B is the identity, so w·B = w
-        yield from enumerate_superspaces(lower, e, cap=cap)
+        yield from enumerate_superspaces(lower)
         return
     pivots = up.pivots
     coords = [coords_in_rowspace(up.matrix, pivots, v) for v in lower.rows]
@@ -638,19 +636,18 @@ def subspaces_between(lower: FMatrix, upper: FMatrix, e: int | None = None,
         return  # lower is not inside upper: nothing between them
     big = FMatrix(upper.field, up.rank, upper.ncols, up.matrix.rows[:up.rank])
     base = FMatrix(upper.field, len(coords), up.rank, tuple(coords))
-    for w in enumerate_superspaces(base, e, cap=cap):
+    for w in enumerate_superspaces(base):
         out = w.mul(big)
         assert tuple(tuple(row[q] for q in pivots) for row in out.rows) == w.rows
         yield out
 
 
-def enumerate_superspaces(base: FMatrix, e: int | None = None,
-                          cap: int = 10_000_000) -> Iterator[FMatrix]:
-    """Every e-dimensional subspace of F_p^d containing the row space of
-    ``base``, or of every dimension when e is None, as canonical RREF bases
-    (``cap`` bounds each dimension): ``base`` is echeloned once, to R with
-    pivots P; each quotient subspace's reduced echelon basis is lifted onto
-    the other columns, each row of R reduced against the lifted rows
+def enumerate_superspaces(base: FMatrix) -> Iterator[FMatrix]:
+    """Every subspace of F_p^d containing the row space of ``base``,
+    dimension by dimension, as canonical RREF bases (``SUBSPACE_CAP`` bounds
+    each dimension): ``base`` is echeloned once, to R with pivots P; each
+    quotient subspace's reduced echelon basis is lifted onto the other
+    columns, each row of R reduced against the lifted rows
     (``reduce_vector``), and the rows merged by pivot.
 
     That is reduced echelon: a lifted row is led by a 1 at its pivot and is
@@ -665,9 +662,8 @@ def enumerate_superspaces(base: FMatrix, e: int | None = None,
     pivots = echelon(rows, p, field.inverses)
     r = len(pivots)
     complement = [j for j in range(d) if j not in set(pivots)]
-    dims = range(r, d + 1) if e is None else range(e, e + 1) if r <= e <= d else ()
-    for k in dims:
-        for w in enumerate_subspaces(d - r, k - r, field, cap=cap):
+    for k in range(r, d + 1):
+        for w in enumerate_subspaces(d - r, k - r, field):
             lifted = []
             for wrow in w.rows:
                 v = [0] * d

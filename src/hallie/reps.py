@@ -20,6 +20,10 @@ if TYPE_CHECKING:
     from .algebra import AlgebraSpec
     from .knit import ARQuiver
 
+# Maps past which a walk of Hom raises ResourceBound: ``_first_in_span``,
+# ``aut_order`` and ``hall.hall_numbers_hom``.
+HOM_WALK_BOUND = 1_000_000
+
 
 class Representation:
     """A module over the instantiated algebra: one matrix per arrow plus a
@@ -385,7 +389,7 @@ def compose_homs(outer: Mapping[str, FMatrix],
 
 
 def _first_in_span(m: Representation, n: Representation,
-                   test: Callable[[dict[str, FMatrix]], object], bound: int,
+                   test: Callable[[dict[str, FMatrix]], object],
                    error: type[ResourceBound]):
     """What ``test`` returns on the first map of Hom(m, n) where it returns
     anything but None; None when no map gets that far.
@@ -395,8 +399,8 @@ def _first_in_span(m: Representation, n: Representation,
     (counted, not tested), then the first basis element, the second, the
     second plus multiples of the first, and so on.  ``test`` must give the
     same verdict on f and λf.  Raises ``error`` once the summed orbit
-    weights, the zero map included, pass ``bound``; the whole walk weighs
-    p^{dim Hom(m, n)}.
+    weights, the zero map included, pass ``HOM_WALK_BOUND``; the whole walk
+    weighs p^{dim Hom(m, n)}.
     """
     A = _hom_constraints(m, n)
     kernel = solve_nullspace(A) if A is not None else []
@@ -406,7 +410,7 @@ def _first_in_span(m: Representation, n: Representation,
              for r in range(nrows) for c in range(ncols)]  # _unflatten_hom's layout
     deltas = [[(*slots[j], x) for j, x in enumerate(vec) if x] for vec in kernel]
     mats = [[[0] * ncols for _ in range(nrows)] for nrows, ncols in shapes]
-    walked = 0
+    walked, bound = 0, HOM_WALK_BOUND
     for k, weight in enumerate(scalar_orbits(mats, deltas, p)):
         walked += weight
         if walked > bound:
@@ -421,20 +425,19 @@ def _first_in_span(m: Representation, n: Representation,
     return None
 
 
-def find_isomorphism(m: Representation, n: Representation,
-                     search_bound: int = 100_000) -> dict[str, FMatrix] | None:
+def find_isomorphism(m: Representation, n: Representation) -> dict[str, FMatrix] | None:
     """An invertible intertwiner m -> n, or None.
 
     One walk of Hom(m, n) by ``_first_in_span``: f and λf are invertible
     together.  Raises ``ResourceBound`` once the walk passes
-    ``search_bound`` maps.
+    ``HOM_WALK_BOUND`` maps.
     """
     if m.dims != n.dims:
         return None
     if m.total_dim == 0:
         return {v: FMatrix.zeros(m.field, 0, 0) for v in m.spec.vertices}
     return _first_in_span(m, n, lambda f: f if hom_is_invertible(f) else None,
-                          search_bound, ResourceBound)
+                          ResourceBound)
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +562,7 @@ def _fitting_split(m: Representation, f: Mapping[str, FMatrix]):
     return SubspaceTuple(m, tuple(img_rows)), SubspaceTuple(m, tuple(ker_rows))
 
 
-def decompose_with_embeddings(m: Representation,
-                              certificate_bound: int = 1_000_000):
+def decompose_with_embeddings(m: Representation):
     """Split m into indecomposable summands with explicit embeddings.
 
     Returns a list of (summand, embedding) pairs where the embedding is a
@@ -577,7 +579,7 @@ def decompose_with_embeddings(m: Representation,
     sees every endomorphism.  A walk that finds no split shows that every
     endomorphism is nilpotent or invertible; then End(m) is local and m is
     indecomposable.  Raises ``DecompositionBudgetExceeded`` once a walk
-    passes ``certificate_bound`` maps.
+    passes ``HOM_WALK_BOUND`` maps.
     """
     if m.is_zero():
         return []
@@ -590,7 +592,7 @@ def decompose_with_embeddings(m: Representation,
         split = None
         if hom_dim(rep, rep) > 1:
             split = _first_in_span(rep, rep, partial(_fitting_split, rep),
-                                   certificate_bound, DecompositionBudgetExceeded)
+                                   DecompositionBudgetExceeded)
         if split is None:
             out.append((rep, embed))
             continue
@@ -749,7 +751,7 @@ def _hom_block(n: int, x: Representation, maps: list[dict[str, FMatrix]]) -> tup
     return (n, x.dims, [[f[v].transpose().rows for v in x.spec.vertices] for f in maps])
 
 
-def aut_order(m: Representation, bound: int = 1_000_000) -> int:
+def aut_order(m: Representation) -> int:
     """Order of the automorphism group: the injective maps into m from
     the summands X^n that ``decompose(m)`` returns, whose sum is isomorphic
     to m, counted by ``linalg.injective_images`` with one block
@@ -757,12 +759,12 @@ def aut_order(m: Representation, bound: int = 1_000_000) -> int:
     Π GL_n(F_p).  An injective map between modules of one dimension is an
     isomorphism, and the isomorphisms from a fixed module onto m are as
     many as Aut(m).  Raises ``ResourceBound`` when p^{dim End(m)} exceeds
-    ``bound``.  It is the tests' reference for the closed form
+    ``HOM_WALK_BOUND``.  It is the tests' reference for the closed form
     ``ARQuiver.class_aut_order``, which the counting routes use."""
     blocks = [_hom_block(n, x, hom_space(x, m)) for x, n in decompose(m)]
     h = sum(n * len(basis) for n, _, basis in blocks)
     p = m.field.p
-    if p ** h > bound:
-        raise ResourceBound(
-            f"automorphism enumeration needs {p}^{h} endomorphisms > bound {bound}")
+    if p ** h > HOM_WALK_BOUND:
+        raise ResourceBound(f"automorphism enumeration needs {p}^{h} endomorphisms "
+                            f"> bound {HOM_WALK_BOUND}")
     return sum(injective_images(m.dims, blocks, m.field).values())

@@ -177,7 +177,8 @@ class TestVerifyCommand:
     def test_every_mesh_is_checked(self, capsys, monkeypatch):
         """One stored ν block zeroed in the quiver over F_3, the second
         verify prime: knitting does not look at ν again, so only the
-        re-check of every mesh can fail."""
+        re-check of every mesh can fail.  It fails the knit check, the
+        report is printed, and no later check runs."""
         real = hallie.hall.knit
 
         def doctored(spec, p, config=None):
@@ -188,8 +189,31 @@ class TestVerifyCommand:
             return ar
         monkeypatch.setattr(hallie.hall, "knit", doctored)
         code, out, err = invoke(capsys, "verify", "--algebra", algebra("a2"))
-        assert code == 1 and not out
-        assert "nu not surjective" in err
+        assert code == 1 and not err
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert [(c["name"], c["ok"]) for c in doc["checks"]] == [("knit", False)]
+        assert "nu not surjective" in doc["checks"][0]["detail"]
+        code, out, _ = invoke(capsys, "verify", "--algebra", algebra("a2"),
+                              "--format", "text")
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL knit: " + doc["checks"][0]["detail"], "VERIFICATION FAILED"]
+
+    def test_field_dependence_fails_its_check(self, capsys, monkeypatch):
+        """A quiver over F_3 that is not the one over F_2 (a3 knitted in
+        place of a2) passes the knit check and fails field independence."""
+        real = hallie.hall.knit
+        a3 = hallie.load_algebra(algebra("a3"))
+        monkeypatch.setattr(hallie.hall, "knit", lambda spec, p, config=None: real(
+            a3 if p == 3 else spec, p, config))
+        code, out, _ = invoke(capsys, "verify", "--algebra", algebra("a2"),
+                              "--format", "text")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0].startswith("ok  knit:")
+        assert lines[1].startswith("FAIL field independence: ")
+        assert lines[2:] == ["VERIFICATION FAILED"]
 
 
 class TestErrorPaths:

@@ -1,26 +1,28 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallie import hall, reps
+from hallie import hall, linalg, reps
 from hallie.algebra import parse_algebra
 from hallie.errors import (ExtDimensionMismatch, FieldDependenceDetected,
                            InconsistentCounts, NegativeMultiplicity,
                            NonIntegralCoefficients, NonIntegralOrbitCount,
-                           ResourceBound)
+                           NotClosed, ResourceBound)
 from hallie.hall import (ARFamily, HallConfig, check_oracle_equivalence,
                          closed_subspace_tuples, first_primes, hall_number_grass,
                          hall_number_hom, hall_numbers_ext, hall_numbers_grass,
                          hall_numbers_hom, lagrange_interpolate)
 from hallie.knit import ARQuiver, ARVertex, knit
-from hallie.linalg import scalar_orbits
+from hallie.linalg import enumerate_subspaces, scalar_orbits
 from hallie.liealg import hall_lie_table
-from hallie.reps import (ExtSpace, MultiplicityVector, Representation, direct_sum,
-                         hom_dim, identify, matches_class, quotient_by_subtuple,
-                         restrict_to_subtuple, simple_rep, sub_quotient)
+from hallie.reps import (ExtSpace, MultiplicityVector, Representation, SubspaceTuple,
+                         direct_sum, hom_dim, identify, matches_class,
+                         quotient_by_subtuple, restrict_to_subtuple, simple_rep,
+                         sub_quotient)
 
 
 S1, S2, P1 = (MultiplicityVector.unit(vid) for vid in ("1-0", "0-1", "1-1"))
@@ -108,7 +110,7 @@ class TestClosedTuples:
         m = direct_sum(spec, p1.field, [p1, s2])
         for e1 in range(m.dims[0] + 1):
             for e2 in range(m.dims[1] + 1):
-                tuples = list(closed_subspace_tuples(m, (e1, e2)))
+                tuples = [t for t in closed_subspace_tuples(m) if t.dims == (e1, e2)]
                 total = 0
                 for n1_parts in _classes_of_dim(spec, ar, (e1, e2), 2):
                     n2_dims = (m.dims[0] - e1, m.dims[1] - e2)
@@ -121,7 +123,7 @@ class TestClosedTuples:
         ar = ars[3]
         p1 = ar.vertex("1-1").rep
         m = direct_sum(spec, p1.field, [p1, p1])
-        for tup in closed_subspace_tuples(m, (1, 1)):
+        for tup in closed_subspace_tuples(m):
             sub_quotient(m, tup)  # raises NotClosed if enumeration lied
 
 
@@ -155,17 +157,18 @@ class TestOracleAgreement:
                             assert grass == hom, (a_mv, c_mv, b, p)
 
 
-def _count_on_all_coordinates(ar, n1, n2, m):
+def _count_on_all_coordinates(ar, n1, n2, m, tuples):
     """The subspace route with every sub and quotient built and classified
     on all knitted vertices: the reference for the Hom-basis classification
-    on distinguishing sets.  A zero Hom space settles a count before any
+    on distinguishing sets.  ``tuples`` are the closed subspace tuples of m
+    of n1's shape.  A zero Hom space settles a count before any
     classification, on both sides."""
     if hom_dim(n1, m) == 0 or hom_dim(m, n2) == 0:
         return 0
     want_sub = list(enumerate(ar.hom_vectors(identify(n1, ar))[0]))
     want_quot = list(enumerate(ar.hom_vectors(identify(n2, ar))[0]))
     count = 0
-    for tup in closed_subspace_tuples(m, n1.dims):
+    for tup in tuples:
         sub, _ = restrict_to_subtuple(m, tup)
         if matches_class(sub, ar, want_sub):
             quot, _ = quotient_by_subtuple(m, tup)
@@ -173,23 +176,53 @@ def _count_on_all_coordinates(ar, n1, n2, m):
     return count
 
 
+@pytest.fixture(scope="module")
+def bracket_grass(algebras):
+    """Per (algebra name, p): a knitted quiver, and the entry of a bracket
+    triple (sub x, quotient y, ambient class b) in the ``hall_numbers_grass``
+    rows of the class module of b.  Each b is walked once, and the walk is
+    shared by the tests that compare bracket triples with the grass route."""
+    quivers = {}
+
+    def get(name, p):
+        if (name, p) not in quivers:
+            ar, walks = knit(algebras[name], p), {}
+
+            def entry(x, y, b):
+                if b not in walks:
+                    walks[b] = hall_numbers_grass(ar, ar.class_module(b))
+                pair = (MultiplicityVector.unit(x.id), MultiplicityVector.unit(y.id))
+                return walks[b].get(x.rep.dims, {}).get(pair, 0)
+            quivers[(name, p)] = ar, entry
+        return quivers[(name, p)]
+    return get
+
+
 class TestSeparatingSets:
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("name", ["a3", "a3_bound", "csquare", "d4"])
-    def test_bracket_triples_match_full_classification(self, algebras, name, p):
+    def test_bracket_triples_match_full_classification(self, bracket_grass, name, p):
         """Every triple of a bracket [x, y] (sub x, quotient y, any class b
-        of the summed dimension vector) counted by ``hall_number_grass`` on
-        distinguishing sets and by ``matches_class`` over all coordinates."""
-        ar = knit(algebras[name], p)
-        nonzero = 0
+        of the summed dimension vector) counted by the rows of
+        ``hall_numbers_grass`` on distinguishing sets and by
+        ``matches_class`` over all coordinates."""
+        ar, grass = bracket_grass(name, p)
+        pairs = {}
         for x, y in itertools.permutations(ar.vertices, 2):
             d = tuple(i + j for i, j in zip(x.rep.dims, y.rep.dims))
+            pairs.setdefault(d, []).append((x, y))
+        nonzero = 0
+        for d, group in pairs.items():
             for b in ar.module_classes(d):
                 m = ar.class_module(b)
-                want = _count_on_all_coordinates(ar, x.rep, y.rep, m)
-                assert hall_number_grass(ar, x.rep, y.rep, m) == want, \
-                    (x.id, y.id, b.render())
-                nonzero += want != 0
+                shapes = {}
+                for tup in closed_subspace_tuples(m):
+                    shapes.setdefault(tup.dims, []).append(tup)
+                for x, y in group:
+                    want = _count_on_all_coordinates(ar, x.rep, y.rep, m,
+                                                     shapes.get(x.rep.dims, []))
+                    assert grass(x, y, b) == want, (x.id, y.id, b.render())
+                    nonzero += want != 0
         assert nonzero > 0
 
 
@@ -216,10 +249,15 @@ class TestRows:
         and its counts sum to the number of tuples of shape e."""
         ar = knit(algebras[name], p)
         module = ar.class_module
+        walks = {}
         for b, e, subs, quots in _groups(ar, 3):
             m = module(b)
-            row = hall_numbers_grass(ar, m, e)
-            assert sum(row.values()) == len(list(closed_subspace_tuples(m, e)))
+            if b not in walks:
+                walks[b] = (hall_numbers_grass(ar, m),
+                            Counter(t.dims for t in closed_subspace_tuples(m)))
+            rows, shapes = walks[b]
+            row = rows.get(e, {})
+            assert sum(row.values()) == shapes[e]
             triples = {(a, c): hall_number_grass(ar, module(a), module(c), m)
                        for a in subs for c in quots}
             assert row == {k: n for k, n in triples.items() if n}, (b.render(), e)
@@ -238,7 +276,7 @@ class TestRows:
                 assert row == {c: n for c, n in triples.items() if n}, \
                     (a.render(), b.render())
 
-    def test_partly_skipped_group_keeps_the_report(self, algebras):
+    def test_partly_skipped_group_keeps_the_report(self, algebras, monkeypatch):
         """A hom bound of 4 skips some but not all sub classes a of a group
         (b, e) at p = 2; the report is the one the per-triple sweep gave."""
         spec = algebras["a3_bound"]
@@ -250,7 +288,8 @@ class TestRows:
                     for a in subs]
             mixed += any(over) and not all(over)
         assert mixed > 0
-        rep = check_oracle_equivalence(spec, (2, 3), 3, hom_bound=4)
+        monkeypatch.setattr(reps, "HOM_WALK_BOUND", 4)
+        rep = check_oracle_equivalence(spec, (2, 3), 3)
         assert (rep.compared, rep.nonzero, rep.skipped, rep.mismatches) == \
             (258, 149, 132, [])
 
@@ -265,57 +304,66 @@ def _class_modules(ar, max_total_dim):
 
 class TestOneWalkPerAmbient:
     """The subspace route walks every shape of an ambient module at once
-    and memoizes the rows per module on the quiver."""
+    and answers the rows of every shape from that walk."""
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("name", ["a2", "a3", "a3_bound", "csquare", "d4"])
     def test_every_shape_walk_is_the_union(self, algebras, name, p):
-        """``closed_subspace_tuples(m)`` yields the tuples of the walks of
-        every single shape, each once."""
+        """``closed_subspace_tuples(m)`` yields, each once, the union over
+        the shapes e of the arrow-stable tuples of shape e: those of the
+        products of ``enumerate_subspaces`` that ``restrict_to_subtuple``
+        accepts."""
         ar = knit(algebras[name], p)
         for b, m in _class_modules(ar, 4):
             walked = [tup.key() for tup in closed_subspace_tuples(m)]
-            every = itertools.product(*(range(x + 1) for x in m.dims))
-            shapes = [tup.key() for e in every for tup in closed_subspace_tuples(m, e)]
+            stable = []
+            for e in itertools.product(*(range(x + 1) for x in m.dims)):
+                for bases in itertools.product(*(
+                        enumerate_subspaces(d, k, m.field) for d, k in zip(m.dims, e))):
+                    tup = SubspaceTuple(m, bases)
+                    try:
+                        restrict_to_subtuple(m, tup)
+                    except NotClosed:
+                        continue
+                    stable.append(tup.key())
             assert len(set(walked)) == len(walked), b.render()
-            assert sorted(walked) == sorted(shapes), b.render()
+            assert sorted(walked) == sorted(stable), b.render()
 
-    def test_cap_bounds_the_whole_walk(self, algebras):
+    def test_cap_bounds_the_whole_walk(self, algebras, monkeypatch):
         ar = knit(algebras["a3"], 2)
         m = ar.class_module(ar.module_classes((1, 2, 1))[0])
-        total = len(list(closed_subspace_tuples(m)))
-        assert max(len(list(closed_subspace_tuples(m, e)))
-                   for e in itertools.product(*(range(x + 1) for x in m.dims))) < total
+        shapes = Counter(tup.dims for tup in closed_subspace_tuples(m))
+        total = sum(shapes.values())
+        assert max(shapes.values()) < total
+        monkeypatch.setattr(linalg, "SUBSPACE_CAP", total - 1)
         with pytest.raises(ResourceBound):
-            list(closed_subspace_tuples(m, cap=total - 1))
+            list(closed_subspace_tuples(m))
         with pytest.raises(ResourceBound):
-            hall_numbers_grass(ar, m, (1, 1, 0), cap=total - 1)
-        assert sum(hall_numbers_grass(ar, m, (1, 1, 0), cap=total).values()) == len(
-            list(closed_subspace_tuples(m, (1, 1, 0))))
+            hall_numbers_grass(ar, m)
+        monkeypatch.setattr(linalg, "SUBSPACE_CAP", total)
+        assert sum(hall_numbers_grass(ar, m)[(0, 1, 1)].values()) == shapes[(0, 1, 1)] == 3
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("name", ["a2", "a3_bound", "csquare"])
     def test_memo_rows_match_a_fresh_quiver(self, algebras, name, p):
-        """Rows served from the memo of one quiver, asked shape after
-        shape and module after module, equal those of a quiver knitted
-        fresh for each ambient class; a returned row is the caller's, and
-        ``forget`` drops the module's rows and frame."""
+        """Rows walked module after module on one quiver, which keeps the
+        Hom bases of each, equal those of a quiver knitted fresh for each
+        ambient class; the rows are the caller's, their counts sum to the
+        number of tuples, and ``forget`` drops the module's frame."""
         spec = algebras[name]
         ar = knit(spec, p)
         for b, m in _class_modules(ar, 3):
             fresh = knit(spec, p)
-            for e in itertools.product(*(range(x + 1) for x in m.dims)):
-                row = hall_numbers_grass(ar, m, e)
-                assert row == hall_numbers_grass(fresh, fresh.class_module(b), e), \
-                    (b.render(), e)
-                row.clear()
-                assert hall_numbers_grass(ar, m, e) == hall_numbers_grass(
-                    fresh, fresh.class_module(b), e)
-            assert sum(n for row in ar.grass_rows[m].values() for n in row.values()) \
+            rows = hall_numbers_grass(ar, m)
+            assert rows == hall_numbers_grass(fresh, fresh.class_module(b)), b.render()
+            assert sum(n for row in rows.values() for n in row.values()) \
                 == len(list(closed_subspace_tuples(m)))
+            rows.clear()
+            assert hall_numbers_grass(ar, m) == hall_numbers_grass(
+                fresh, fresh.class_module(b))
             frame = ar.hom_frame(m)
             ar.forget(m)
-            assert m not in ar.grass_rows and ar.hom_frame(m) is not frame
+            assert ar.hom_frame(m) is not frame
 
 
 class TestFamilyQuivers:
@@ -584,8 +632,8 @@ class TestOracleEquivalenceReport:
         into = ar.hom_vectors(a)[0]
         assert 3 ** sum(n * into[ar.order.index(x)] for x, n in a.items()) > 10 ** 6
         assert hall_numbers_hom(ar, a, m) == {}
-        assert hall_numbers_grass(ar, m, (2, 3)).get((a, MultiplicityVector.zero()),
-                                                     0) == 0
+        assert hall_numbers_grass(ar, m).get((2, 3), {}).get(
+            (a, MultiplicityVector.zero()), 0) == 0
 
 
 class TestHomSubClass:
@@ -593,13 +641,14 @@ class TestHomSubClass:
     multiplicity vector, not off the module it is handed."""
 
     @pytest.mark.parametrize("p", [2, 3])
-    def test_class_module_and_equal_module_agree(self, algebras, p):
+    def test_class_module_and_equal_module_agree(self, algebras, monkeypatch, p):
         """``hall_number_hom`` handed the class module of each sub class
         and handed an equal module built apart give the same counts and
         the same skips, on every triple of a2 up to total dimension 4,
         some with a summand of multiplicity above 1: the route keys the
         sub by its class (``class_of``), never by the object."""
         ar = knit(algebras["a2"], p)
+        monkeypatch.setattr(reps, "HOM_WALK_BOUND", 3 ** 7)
         pairs = []
         for d in itertools.product(range(5), repeat=2):
             if not 0 < sum(d) <= 4:
@@ -622,7 +671,7 @@ class TestHomSubClass:
             for a_mv, c_mv, b in pairs:
                 try:
                     out.append(hall_number_hom(ar, sub(a_mv), ar.class_module(c_mv),
-                                               ar.class_module(b), hom_bound=3 ** 7))
+                                               ar.class_module(b)))
                 except ResourceBound:
                     out.append(None)
             return out
@@ -697,10 +746,10 @@ class TestExtRoute:
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("name", ["a3", "a3_bound", "csquare", "d4"])
-    def test_bracket_triples_match_grass(self, algebras, name, p):
+    def test_bracket_triples_match_grass(self, bracket_grass, name, p):
         """Every triple of a bracket [x, y]: sub x, quotient y and every
         class b of the summed dimension vector."""
-        ar = knit(algebras[name], p)
+        ar, grass = bracket_grass(name, p)
         nonzero = 0
         for x, y in itertools.permutations(ar.vertices, 2):
             a, c = MultiplicityVector.unit(x.id), MultiplicityVector.unit(y.id)
@@ -709,7 +758,7 @@ class TestExtRoute:
             classes = ar.module_classes(d)
             assert set(table) <= set(classes)
             for b in classes:
-                want = hall_number_grass(ar, x.rep, y.rep, ar.class_module(b))
+                want = grass(x, y, b)
                 assert table.get(b, 0) == want, (x.id, y.id, b.render())
                 nonzero += want != 0
         assert nonzero > 0

@@ -366,15 +366,14 @@ class TestHomFrame:
             for mv in ar.module_classes(d):
                 m = ar.class_module(mv)
                 frame = ar.hom_frame(m)
-                for e in itertools.product(*(range(x + 1) for x in d)):
-                    for tup in closed_subspace_tuples(m, e):
-                        sub, _ = restrict_to_subtuple(m, tup)
-                        quot, _ = quotient_by_subtuple(m, tup)
-                        assert frame.into_vector(tup.key(), every) == [
-                            hom_dim(x, sub) for x in xs], (mv.render(), e)
-                        assert frame.outof_vector(tup.key(), every) == [
-                            hom_dim(quot, x) for x in xs], (mv.render(), e)
-                        checked += 1
+                for tup in closed_subspace_tuples(m):
+                    sub, _ = restrict_to_subtuple(m, tup)
+                    quot, _ = quotient_by_subtuple(m, tup)
+                    assert frame.into_vector(tup.key(), every) == [
+                        hom_dim(x, sub) for x in xs], (mv.render(), tup.dims)
+                    assert frame.outof_vector(tup.key(), every) == [
+                        hom_dim(quot, x) for x in xs], (mv.render(), tup.dims)
+                    checked += 1
         assert checked > 0
 
 

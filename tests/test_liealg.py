@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -173,8 +174,11 @@ class TestChecksCanFail:
             hall_lie_table(families["a2"])
         code = run(["verify", "--algebra", hallie.example_algebra_path("a2")])
         assert code == 1
-        err = capsys.readouterr().err
-        assert "verification failure" in err and reason in err
+        doc = json.loads(capsys.readouterr().out)
+        assert not doc["ok"]
+        assert [c["name"] for c in doc["checks"]] == ["knit", "field independence",
+                                                      "lie closure"]
+        assert not doc["checks"][-1]["ok"] and reason in doc["checks"][-1]["detail"]
 
 
 KNOWN_D4_ROOTS = {
@@ -198,11 +202,21 @@ class TestRootSystems:
         rs = positive_roots(algebras["d4"].cartan_matrix())
         assert set(rs.positive_roots) == KNOWN_D4_ROOTS
 
-    def test_affine_rejected(self):
+    def test_affine_rejected(self, monkeypatch):
         # the cycle graph on three vertices is simply laced but affine
         affine = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+        monkeypatch.setattr(liealg, "ROOT_CAP", 64)
+        with pytest.raises(NotFiniteType, match="64"):
+            positive_roots(affine)
+
+    def test_root_cap_is_read_on_every_call(self, algebras, monkeypatch):
+        """D4 has 12 positive roots: a cap of 11 stops its closure."""
+        cartan = algebras["d4"].cartan_matrix()
+        monkeypatch.setattr(liealg, "ROOT_CAP", 11)
         with pytest.raises(NotFiniteType):
-            positive_roots(affine, cap=64)
+            positive_roots(cartan)
+        monkeypatch.setattr(liealg, "ROOT_CAP", 12)
+        assert len(positive_roots(cartan).positive_roots) == 12
 
     def test_invalid_cartan_rejected(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hallie import linalg
 from hallie.errors import ResourceBound
 from hallie.linalg import (FMatrix, PrimeField, coords_in_rowspace, echelon,
                            enumerate_subspaces, enumerate_superspaces,
@@ -373,22 +374,25 @@ class TestSubspaceEnumeration:
             assert res.rank == 2
             assert res.matrix.rows[:2] == m.rows
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        """The cap is read on every call, so patching it takes effect."""
+        monkeypatch.setattr(linalg, "SUBSPACE_CAP", 5)
         with pytest.raises(ResourceBound):
-            list(enumerate_subspaces(4, 2, F5, cap=5))
+            list(enumerate_subspaces(4, 2, F5))
 
 
 class TestSuperspaces:
     def test_matches_filtering(self):
         base = mat(F2, [[1, 0, 0, 1]])
-        got = {s.rows for s in enumerate_superspaces(base, 2)}
+        got = {s.rows for s in enumerate_superspaces(base) if s.nrows == 2}
         want = {s.rows for s in enumerate_subspaces(4, 2, F2)
                 if subspace_contains(s, base)}
         assert got == want
 
     def test_empty_base(self):
         base = FMatrix.zeros(F3, 0, 3)
-        assert len(list(enumerate_superspaces(base, 1))) == gaussian_binomial(3, 1, 3)
+        assert [s.nrows for s in enumerate_superspaces(base)].count(1) == \
+            gaussian_binomial(3, 1, 3)
 
 
 class TestSubspaceCalculus:
@@ -403,17 +407,25 @@ class TestSubspaceCalculus:
     @settings(max_examples=60, deadline=None)
     def test_quotient_projection_kernel_is_the_row_space(self, p, d, data):
         """proj · x = 0 exactly when x lies in the row space of the base,
-        over every x in F_p^d, for any spanning rows of the base."""
+        over every x in F_p^d, for the reduced echelon basis of any
+        spanning rows."""
         field = PrimeField(p)
         entries = st.lists(st.integers(0, p - 1), min_size=d, max_size=d)
         base = mat(field, data.draw(st.lists(entries, max_size=d + 1)), ncols=d)
-        proj = quotient_projection(base)
+        proj = quotient_projection(row_space(base))
         span = {tuple(sum(c * row[j] for c, row in zip(cs, base.rows)) % p
                       for j in range(d))
                 for cs in itertools.product(range(p), repeat=base.nrows)}
         assert proj.shape == (d - len(rref_pivots(row_space(base))), d)
         for x in itertools.product(range(p), repeat=d):
             assert (not any(proj.apply(x))) == (x in span)
+
+    @pytest.mark.parametrize("rows", [[[2, 0, 1]], [[0, 1, 0], [1, 0, 0]],
+                                      [[1, 1, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 0]]],
+                             ids=["lead-2", "unsorted", "unreduced", "zero-row"])
+    def test_quotient_projection_rejects_unreduced_base(self, rows):
+        with pytest.raises(ValueError, match="reduced echelon"):
+            quotient_projection(mat(F3, rows))
 
     def test_preimage(self):
         # map F_3^2 -> F_3^3 by injecting into first two coordinates
@@ -431,7 +443,7 @@ class TestSubspaceCalculus:
     def test_subspaces_between_matches_filter(self):
         lower = mat(F2, [[1, 1, 0, 0]])
         upper = mat(F2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
-        got = {s.rows for s in subspaces_between(lower, upper, 2)}
+        got = {s.rows for s in subspaces_between(lower, upper) if s.nrows == 2}
         want = {s.rows for s in enumerate_subspaces(4, 2, F2)
                 if subspace_contains(s, lower) and subspace_contains(upper, s)}
         assert got == want
@@ -439,11 +451,11 @@ class TestSubspaceCalculus:
     @given(p=st.sampled_from([2, 3]), d=st.integers(1, 4), data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_bases_by_construction_match_filter(self, p, d, data):
-        """``subspaces_between`` (each e, and every e at once) and
-        ``enumerate_superspaces`` build their echelon bases without
-        re-echeloning; each must list exactly the canonical bases that a
-        filter of ``enumerate_subspaces`` keeps, for random lower <= upper
-        (lower given by any spanning rows, dependent or zero ones too)."""
+        """``subspaces_between`` and ``enumerate_superspaces`` build their
+        echelon bases without re-echeloning; each must list, dimension by
+        dimension, exactly the canonical bases that a filter of
+        ``enumerate_subspaces`` keeps, for random lower <= upper (lower
+        given by any spanning rows, dependent or zero ones too)."""
         field = PrimeField(p)
         entries = st.lists(st.integers(0, p - 1), min_size=d, max_size=d)
         upper = row_space(mat(field, data.draw(st.lists(entries, max_size=d)), ncols=d))
@@ -452,19 +464,17 @@ class TestSubspaceCalculus:
                                              max_size=h), max_size=d))
         lower = mat(field, [[sum(c * row[j] for c, row in zip(cs, upper.rows)) % p
                              for j in range(d)] for cs in coeffs], ncols=d)
-        every = [list(enumerate_subspaces(d, e, field)) for e in range(d + 1)]
-        walked = []
-        for e in range(d + 1):
-            between = list(subspaces_between(lower, upper, e))
-            assert sorted(s.rows for s in between) == sorted(
-                s.rows for s in every[e]
-                if subspace_contains(s, lower) and subspace_contains(upper, s))
-            walked += [s.rows for s in between]
-            assert sorted(s.rows for s in enumerate_superspaces(lower, e)) == sorted(
-                s.rows for s in every[e] if subspace_contains(s, lower))
-        assert [s.rows for s in subspaces_between(lower, upper)] == walked
-        assert [s.rows for s in enumerate_superspaces(lower)] == [
-            s.rows for e in range(d + 1) for s in enumerate_superspaces(lower, e)]
+        every = [s for e in range(d + 1) for s in enumerate_subspaces(d, e, field)]
+        between = list(subspaces_between(lower, upper))
+        assert sorted(s.rows for s in between) == sorted(
+            s.rows for s in every
+            if subspace_contains(s, lower) and subspace_contains(upper, s))
+        above = list(enumerate_superspaces(lower))
+        assert sorted(s.rows for s in above) == sorted(
+            s.rows for s in every if subspace_contains(s, lower))
+        for walk in (between, above):
+            dims = [s.nrows for s in walk]
+            assert dims == sorted(dims)
 
     def test_row_space_canonical(self):
         m = mat(F5, [[2, 4], [1, 2]])

@@ -89,15 +89,13 @@ class TestSubQuotient:
         from hallie.hall import closed_subspace_tuples
         p = projective_rep(a3_bound, "2", 2)
         m = direct_sum(a3_bound, p.field, [p, simple_rep(a3_bound, "2", 2)])
-        shapes = itertools.product(*(range(d + 1) for d in m.dims))
-        for e in shapes:
-            for tup in closed_subspace_tuples(m, e):
-                sq = sub_quotient(m, tup)
-                got = tuple(a + b for a, b in zip(sq.sub.dims, sq.quot.dims))
-                assert got == m.dims
-                # projection and inclusion compose to zero
-                for v in a3_bound.vertices:
-                    assert sq.projection[v].mul(sq.inclusion[v]).is_zero()
+        for tup in closed_subspace_tuples(m):
+            sq = sub_quotient(m, tup)
+            got = tuple(a + b for a, b in zip(sq.sub.dims, sq.quot.dims))
+            assert got == m.dims
+            # projection and inclusion compose to zero
+            for v in a3_bound.vertices:
+                assert sq.projection[v].mul(sq.inclusion[v]).is_zero()
 
 
 class TestDirectSum:
@@ -211,11 +209,13 @@ class TestIndecomposableCertificate:
         m = direct_sum(a2, s1.field, [s1, s1])
         assert [(rep.dims, mult) for rep, mult in decompose(m)] == [((1, 0), 2)]
 
-    def test_certificate_bound(self):
+    def test_certificate_bound(self, monkeypatch):
         m = self.kronecker_block(2)
+        monkeypatch.setattr(reps, "HOM_WALK_BOUND", 3)
         with pytest.raises(DecompositionBudgetExceeded):
-            reps.decompose_with_embeddings(m, certificate_bound=3)
-        assert len(reps.decompose_with_embeddings(m, certificate_bound=4)) == 1
+            reps.decompose_with_embeddings(m)
+        monkeypatch.setattr(reps, "HOM_WALK_BOUND", 4)
+        assert len(reps.decompose_with_embeddings(m)) == 1
 
 
 @pytest.fixture(scope="module")
@@ -273,14 +273,15 @@ class TestAutOrder:
         # End(P_1) = F_p, so Aut has p - 1 elements
         assert aut_order(projective_rep(a2, "1", 5)) == 4
 
-    def test_bound_is_checked_on_every_call(self, a2):
-        """p^{dim End} = 3^9 for S1³ at p = 3: counted under a loose bound,
-        and refused under a tight one on the next call."""
+    def test_bound_is_checked_on_every_call(self, a2, monkeypatch):
+        """p^{dim End} = 3^9 for S1³ at p = 3: counted under the default
+        bound, and refused under a tight one on the next call."""
         s1 = simple_rep(a2, "1", 3)
         m = direct_sum(a2, s1.field, [s1, s1, s1])
-        assert aut_order(m, bound=10 ** 6) == 11232  # |GL_3(F_3)|
+        assert aut_order(m) == 11232  # |GL_3(F_3)|
+        monkeypatch.setattr(reps, "HOM_WALK_BOUND", 100)
         with pytest.raises(ResourceBound):
-            aut_order(m, bound=100)
+            aut_order(m)
 
     def test_bare_module_walks_its_summands(self, a2):
         """The walk over the summands ``decompose`` finds, on a class
@@ -325,7 +326,7 @@ class TestFindIsomorphism:
         assert iso is not None
 
     @pytest.mark.parametrize("p", [2, 3])
-    def test_isomorphism_past_the_basis(self, a2, p):
+    def test_isomorphism_past_the_basis(self, a2, monkeypatch, p):
         """Hom(S1 ⊕ S1, S1 ⊕ S1) has the unit matrices E_ij as its basis,
         and none is invertible: the walk must combine them."""
         s1 = simple_rep(a2, "1", p)
@@ -333,8 +334,9 @@ class TestFindIsomorphism:
         assert all(not reps.hom_is_invertible(f) for f in hom_space(m, m))
         iso = find_isomorphism(m, m)
         assert iso is not None and reps.hom_is_invertible(iso)
+        monkeypatch.setattr(reps, "HOM_WALK_BOUND", 2)
         with pytest.raises(ResourceBound):
-            find_isomorphism(m, m, search_bound=2)
+            find_isomorphism(m, m)
 
     def test_distinguishes_nonisomorphic(self, a2):
         field = PrimeField(2)

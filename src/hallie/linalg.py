@@ -593,7 +593,7 @@ def quotient_projection(base: FMatrix) -> FMatrix:
 
 def preimage_subspace(m: FMatrix, base: FMatrix) -> FMatrix:
     """Canonical basis of {x : m x in rowspace(base)}; m maps F_p^s -> F_p^t
-    and ``base`` is a reduced echelon basis of a subspace of F_p^t."""
+    and ``base`` spans a subspace of F_p^t."""
     proj = quotient_projection(base)
     constrained = proj.mul(m)
     kernel = solve_nullspace(constrained)
@@ -601,7 +601,7 @@ def preimage_subspace(m: FMatrix, base: FMatrix) -> FMatrix:
 
 
 def intersect_subspaces(a: FMatrix, b: FMatrix) -> FMatrix:
-    """Canonical basis of the intersection of two reduced echelon row spaces."""
+    """Canonical basis of the intersection of two row spaces."""
     stacked = vstack(a.field, [quotient_projection(a), quotient_projection(b)],
                      ncols=a.ncols)
     kernel = solve_nullspace(stacked)

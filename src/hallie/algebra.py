@@ -89,10 +89,10 @@ class Relation:
 class AlgebraSpec:
     """A validated bound quiver algebra with its computed path basis.
 
-    ``rewrites`` sends every path to its expansion in basis paths, a tuple
-    of (coefficient, basis path) pairs: ``((1, rep),)`` for a path whose
-    class is represented by ``rep``, ``()`` for a path that is zero in the
-    algebra.
+    ``rewrites`` sends every path to the basis path that represents its
+    class (every coefficient is 1), or to None when the path is zero in the
+    algebra.  A trivial path has length 0 and so is falsy: test a rewrite
+    with ``is None``.
     """
 
     __slots__ = ("quiver", "relations", "path_basis", "nilpotency_bound",
@@ -100,7 +100,7 @@ class AlgebraSpec:
 
     def __init__(self, quiver: Quiver, relations: tuple[Relation, ...],
                  path_basis: tuple[Path, ...], nilpotency_bound: int,
-                 rewrites: dict[Path, tuple[tuple[int, Path], ...]],
+                 rewrites: dict[Path, Path | None],
                  topo_order: tuple[str, ...]):
         self.quiver = quiver
         self.relations = relations
@@ -299,8 +299,8 @@ def load_algebra(path: str) -> AlgebraSpec:
 
 def compute_path_basis(quiver: Quiver, relations: tuple[Relation, ...]):
     """Coset representatives of paths modulo the relation ideal I, with the
-    rewrite of every path: ``((1, rep),)`` onto its class representative,
-    or ``()`` when the path lies in I.
+    rewrite of every path: its class representative ``rep``, or None when
+    the path lies in I.
 
     Paths are joined into classes by the padded commutativity relations
     x·lhs·y ~ x·rhs·y (x, y paths); a class holding a padded zero relation
@@ -317,7 +317,7 @@ def compute_path_basis(quiver: Quiver, relations: tuple[Relation, ...]):
     0 on every other one, so the representatives are independent modulo I.
     They are a basis of kQ/I over every k, and every rewrite has the
     coefficient 1.  Checked at run time: both sides of each relation
-    rewrite alike, and a zero relation rewrites to ``()``.
+    rewrite alike, and a zero relation rewrites to None.
     """
     paths = _all_paths(quiver)
     longest = max((len(q) for q in paths), default=0)
@@ -345,10 +345,10 @@ def compute_path_basis(quiver: Quiver, relations: tuple[Relation, ...]):
     reps: dict[Path, Path] = {}
     for q in sorted(paths, key=Path.sort_key):
         reps.setdefault(find(q), q)
-    rewrites = {q: () if find(q) in zero_roots else ((1, reps[find(q)]),)
-                for q in paths}
+    rewrites = {q: None if find(q) in zero_roots else reps[find(q)] for q in paths}
     for rel in relations:
-        assert rewrites[rel.lhs] == (() if rel.kind == "zero" else rewrites[rel.rhs]), rel
+        assert rewrites[rel.lhs] == (None if rel.kind == "zero"
+                                     else rewrites[rel.rhs]), rel
     basis = sorted((q for root, q in reps.items() if root not in zero_roots),
                    key=lambda q: (len(q), quiver.vertices.index(q.source), q.arrows))
     return tuple(basis), rewrites, longest
@@ -375,7 +375,8 @@ def projective_rep(spec: AlgebraSpec, x: str, p: int):
         rows = [[0] * len(src_paths) for _ in dst_paths]
         for j, q in enumerate(src_paths):
             extended = Path((a.id,) + q.arrows, q.source, a.target)
-            for coeff, basis_path in spec.rewrites[extended]:
-                rows[dst_index[basis_path]][j] = coeff % p
+            basis_path = spec.rewrites[extended]
+            if basis_path is not None:
+                rows[dst_index[basis_path]][j] = 1
         maps[a.id] = FMatrix.from_rows(field, rows, ncols=len(src_paths))
     return Representation(spec, field, dims, maps)

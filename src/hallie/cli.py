@@ -52,8 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(knit takes one, verify one or more)")
         p.add_argument("--exclude-primes", default="",
                        help="primes never used as interpolation nodes")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="recorded in the output; must be 1")
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default="json")
         p.add_argument("--max-vertices", type=int, default=512)
@@ -156,9 +154,10 @@ def _provenance(args, digest: str, primes: list[int]) -> dict:
             "algebra_sha256": digest,
             "primes": primes,
             "exclude_primes": sorted(_excluded(args)),
-            "jobs": args.jobs,
-            # a constant since splitting became deterministic; the key stays
-            # so that pinned documents keep their bytes
+            # constants since Hall counting runs in one process and splitting
+            # became deterministic; the keys stay so that pinned documents
+            # keep their bytes
+            "jobs": 1,
             "seed": 0,
             "format": args.format,
             "max_vertices": args.max_vertices,
@@ -174,8 +173,6 @@ def _validate_caps(args) -> None:
     """Reject flag values the command cannot honour."""
     if args.max_vertices <= 0:
         raise InputError("--max-vertices must be positive")
-    if args.jobs != 1:
-        raise InputError("--jobs must be 1: Hall counting runs in one process")
     if args.primes != "auto" and args.command not in ("knit", "verify"):
         raise InputError(f"--primes applies to knit and verify only; "
                          f"{args.command} picks its interpolation primes itself")

@@ -40,18 +40,18 @@ counting routes are provided, and each answers a whole row at once:
   Ext route divides by.  It is the independent oracle of
   ``check_oracle_equivalence``, which compares all three routes.
 
-``hall_number_grass`` and ``hall_number_hom`` answer one triple by looking
-it up in its row.  Each route's walk raises ``ResourceBound`` past one
+``hall_number_grass`` and ``hall_number_hom`` answer one triple: they name
+the classes of its sub and quotient with ``reps.identify`` and look them
+up in their row.  Each route's walk raises ``ResourceBound`` past one
 module constant, read at call time: ``linalg.SUBSPACE_CAP``,
 ``reps.HOM_WALK_BOUND`` or ``EXT_WALK_BOUND``.  The routes ask the knitted
 ``ARQuiver`` for what it memoizes: the classes of each dimension vector,
-the class of each module they identify, the Hom bases of each ambient
-module and the distinguishing set of each dimension vector.  The quivers
-an ``ARFamily`` knits over several primes share one memo of the classes,
-Hom vectors and distinguishing sets, which depend only on the knitted
-order and the Hom matrix (``ARQuiver.share_memos`` checks that both
-agree); the memos of modules, Hom bases, |Aut| and Hall numbers stay with
-each prime's quiver.
+the Hom bases of each ambient module and the distinguishing set of each
+dimension vector.  The quivers an ``ARFamily`` knits over several primes
+share one memo of the classes, Hom vectors and distinguishing sets, which
+depend only on the knitted order and the Hom matrix
+(``ARQuiver.share_memos`` checks that both agree); the memos of modules,
+Hom bases, |Aut| and Hall numbers stay with each prime's quiver.
 
 Interpolation: counts are taken at the first D+2 primes not on the excluded
 list, where D is the degree bound min(Σ e(d−e), hom(a,b) − end(a),
@@ -79,12 +79,12 @@ from .errors import (ExtDimensionMismatch, InconsistentCounts,
                      NegativeMultiplicity, NonIntegralCoefficients,
                      NonIntegralOrbitCount, NonUnitriangularHomMatrix,
                      ResourceBound)
-from .knit import ARQuiver, KnitConfig, knit
+from .knit import ARQuiver, knit
 from .linalg import (FMatrix, gaussian_binomial, intersect_subspaces, is_prime,
                      preimage_subspace, row_space, scalar_orbits, subspaces_between,
                      tallied_images)
 from .reps import (MultiplicityVector, Representation, SubspaceTuple, ext_space,
-                   hom_dim, middle_term)
+                   hom_dim, identify, middle_term)
 
 # p^{dim Ext¹(c, a)} past which ``hall_numbers_ext`` raises ResourceBound
 # instead of walking the extension classes.
@@ -262,7 +262,7 @@ def hall_number_grass(ar: ARQuiver, n1: Representation, n2: Representation,
     if n2.total_dim and hom_dim(m, n2) == 0:
         return 0
     row = hall_numbers_grass(ar, m).get(n1.dims, {})
-    return row.get((ar.class_of(n1), ar.class_of(n2)), 0)
+    return row.get((identify(n1, ar), identify(n2, ar)), 0)
 
 
 def hall_numbers_hom(ar: ARQuiver, a: MultiplicityVector,
@@ -332,12 +332,11 @@ def hall_number_hom(ar: ARQuiver, n1: Representation, n2: Representation,
     row of the class of n1."""
     if not _dim_law_holds(n1, n2, m):
         return 0
-    row = hall_numbers_hom(ar, ar.class_of(n1), m)
-    return row.get(ar.class_of(n2), 0)
+    row = hall_numbers_hom(ar, identify(n1, ar), m)
+    return row.get(identify(n2, ar), 0)
 
 
-def hall_numbers_ext(ar: ARQuiver, a: MultiplicityVector, c: MultiplicityVector,
-                     n1: Representation, n2: Representation
+def hall_numbers_ext(ar: ARQuiver, a: MultiplicityVector, c: MultiplicityVector
                      ) -> dict[MultiplicityVector, int]:
     """The Hall numbers F^b_{a,c} of every class b at once, by Riedtmann's
     formula over F_q (q = p):
@@ -345,8 +344,8 @@ def hall_numbers_ext(ar: ARQuiver, a: MultiplicityVector, c: MultiplicityVector,
         F^b_{a,c} = |Ext¹(c, a)_b| · |Aut b| / (|Aut a| · |Aut c| · q^{hom(c, a)}),
 
     where Ext¹(c, a)_b is the set of extension classes whose middle term is
-    of class b; n1 and n2 are modules of the classes a and c.  Classes b
-    missing from the result have F = 0.
+    of class b, walked on the modules of a and c (``ar.class_module``).
+    Classes b missing from the result have F = 0.
 
     Why the formula.  Aut b acts on the exact sequences 0 -> a -f-> b -g->
     c -> 0 by φ·(f, g) = (φf, gφ⁻¹).  The orbits are the extension classes
@@ -391,6 +390,7 @@ def hall_numbers_ext(ar: ARQuiver, a: MultiplicityVector, c: MultiplicityVector,
     p^{dim Ext¹(c, a)} exceeds ``EXT_WALK_BOUND``.
     """
     p = ar.field.p
+    n1, n2 = ar.class_module(a), ar.class_module(c)
     ext = ext_space(n2, n1)
     if p ** ext.dim > EXT_WALK_BOUND:
         raise ResourceBound(
@@ -450,8 +450,7 @@ def ext_hall_number(ar: ARQuiver, a: MultiplicityVector, c: MultiplicityVector,
     table of every b is memoized on the quiver per pair (a, c)."""
     table = ar.ext_tables.get((a, c))
     if table is None:
-        table = ar.ext_tables[(a, c)] = hall_numbers_ext(
-            ar, a, c, ar.class_module(a), ar.class_module(c))
+        table = ar.ext_tables[(a, c)] = hall_numbers_ext(ar, a, c)
     return table.get(b, 0)
 
 
@@ -564,7 +563,7 @@ class ARFamily:
         ar = self._quivers.get(p)
         if ar is not None:
             return ar
-        ar = knit(self.spec, p, KnitConfig(max_vertices=self.config.max_vertices))
+        ar = knit(self.spec, p, self.config.max_vertices)
         if self._quivers:
             ar.share_memos(next(iter(self._quivers.values())))
         self._quivers[p] = ar

@@ -31,15 +31,8 @@ from .linalg import (FMatrix, PrimeField, _block_tally, echelon, hstack,
                      reduce_vector, row_space, vstack)
 from .reps import (MultiplicityVector, Representation, SubspaceTuple,
                    check_relations, compose_homs, decompose_with_embeddings,
-                   direct_sum, find_isomorphism, hom_dim, hom_space, identify,
-                   restrict_to_subtuple, sub_quotient, summand_inclusions)
-
-
-class KnitConfig:
-    __slots__ = ("max_vertices",)
-
-    def __init__(self, max_vertices: int = 512):
-        self.max_vertices = max_vertices
+                   direct_sum, find_isomorphism, hom_dim, hom_space,
+                   quotient_by_subtuple, restrict_to_subtuple, summand_inclusions)
 
 
 class ARVertex:
@@ -74,18 +67,6 @@ class Mesh:
         self.nu = nu
 
 
-class ARSequence:
-    __slots__ = ("translate", "middles", "eta", "nu")
-
-    def __init__(self, translate: ARVertex, middles: tuple[ARVertex, ...],
-                 eta: tuple[dict[str, FMatrix], ...],
-                 nu: tuple[dict[str, FMatrix], ...]):
-        self.translate = translate
-        self.middles = middles
-        self.eta = eta
-        self.nu = nu
-
-
 class ARQuiver:
     """The knitted Auslander-Reiten quiver with explicit irreducible maps.
 
@@ -93,12 +74,11 @@ class ARQuiver:
     again and again: the module classes of each dimension vector and
     bounds (``module_classes``), the Hom vectors and |Aut| of each class
     (``hom_vectors``, ``class_aut_order``), the module of each class
-    (``class_module``), the class ``identify`` found for each module it was
-    asked about (``class_of``), the Hom bases of each ambient module the
-    subspace and hom routes count in (``hom_frame``, dropped by
-    ``forget``), the distinguishing coordinates of each dimension vector
-    and bounds (``distinguishing_set``) and the Hall numbers of each pair
-    (a, c) from one walk of Ext¹(c, a) (``ext_tables``).
+    (``class_module``), the Hom bases of each ambient module the subspace
+    and hom routes count in (``hom_frame``, dropped by ``forget``), the
+    distinguishing coordinates of each dimension vector and bounds
+    (``distinguishing_set``) and the Hall numbers of each pair (a, c) from
+    one walk of Ext¹(c, a) (``ext_tables``).
     The class lists, Hom vectors and distinguishing sets do not depend on
     the prime once the knitted order and the Hom matrix agree, and the
     quivers of one ``hall.ARFamily`` share them (``share_memos``, which
@@ -123,7 +103,6 @@ class ARQuiver:
         self._hom_vectors: dict[MultiplicityVector, tuple[tuple[int, ...],
                                                           tuple[int, ...]]] = {}
         self._aut_orders: dict[MultiplicityVector, int] = {}
-        self._identified: dict[Representation, MultiplicityVector] = {}
         self._frames: dict[Representation, HomFrame] = {}
         self._distinguishing: dict[tuple, tuple[tuple[int, ...], dict]] = {}
         self._modules: dict[MultiplicityVector, Representation] = {}
@@ -300,13 +279,6 @@ class ARQuiver:
                     order *= q ** n - q ** k
             self._aut_orders[mv] = order
         return order
-
-    def class_of(self, m: Representation) -> MultiplicityVector:
-        """``identify(m, self)``, memoized per module."""
-        mv = self._identified.get(m)
-        if mv is None:
-            mv = self._identified[m] = identify(m, self)
-        return mv
 
     def hom_frame(self, m: Representation) -> "HomFrame":
         """The ``HomFrame`` of m against the knitted vertices, memoized per
@@ -499,9 +471,9 @@ def radical_tuple(p_rep: Representation, x: str) -> SubspaceTuple:
     return SubspaceTuple(p_rep, tuple(bases))
 
 
-def knit(spec: AlgebraSpec, p: int, config: KnitConfig | None = None) -> ARQuiver:
-    """Construct the Auslander-Reiten quiver of the algebra over F_p."""
-    config = config or KnitConfig()
+def knit(spec: AlgebraSpec, p: int, max_vertices: int = 512) -> ARQuiver:
+    """Construct the Auslander-Reiten quiver of the algebra over F_p,
+    raising ``NotRepresentationFinite`` past ``max_vertices`` vertices."""
     field = PrimeField(p)
     verts = spec.vertices
 
@@ -554,9 +526,9 @@ def knit(spec: AlgebraSpec, p: int, config: KnitConfig | None = None) -> ARQuive
             raise NotDirected(
                 f"duplicate dimension vector {vid}; the input is outside the "
                 "representation-directed class")
-        if len(vertices) >= config.max_vertices:
+        if len(vertices) >= max_vertices:
             raise NotRepresentationFinite(
-                f"knitting exceeded {config.max_vertices} vertices without closing up")
+                f"knitting exceeded {max_vertices} vertices without closing up")
         assert check_relations(rep)
         v = ARVertex(vid, len(vertices), rep, projective)
         vertices.append(v)
@@ -614,16 +586,16 @@ def knit(spec: AlgebraSpec, p: int, config: KnitConfig | None = None) -> ARQuive
                 raise EtaNotInjective(
                     f"left almost split map out of {v.id} is not injective at "
                     f"vertex {vx}")
+        # the image of eta is stable: every arrow map out of v passed _hom_check
         image = SubspaceTuple(e_rep, tuple(spans))
-        sq = sub_quotient(e_rep, image)
-        z_rep = sq.quot
+        z_rep, projection = quotient_by_subtuple(e_rep, image)
         expected = tuple(e_rep.dims[i] - v.rep.dims[i] for i in range(len(verts)))
         assert z_rep.dims == expected, "mesh dimension relation failed"
         z = add_vertex(z_rep, projective=False)
         tau[z.id] = v.id
         nu_list = []
         for t, incl in zip(targets, inclusions):
-            nu = compose_homs(sq.projection, incl)
+            nu = compose_homs(projection, incl)
             add_arrow(t.id, z.id, nu)
             nu_list.append(nu)
         meshes[z.id] = Mesh(target=z.id, translate=v.id,
@@ -662,9 +634,10 @@ def knit(spec: AlgebraSpec, p: int, config: KnitConfig | None = None) -> ARQuive
     return ar
 
 
-def ar_sequence(ar: ARQuiver, z: str) -> ARSequence:
-    """The stored almost split sequence ending at a non-projective vertex,
-    re-verified: eta mono, nu epi, nu . eta = 0, exactness by ranks."""
+def ar_sequence(ar: ARQuiver, z: str) -> Mesh:
+    """The stored mesh of the almost split sequence ending at a
+    non-projective vertex, re-verified: eta mono, nu epi, nu . eta = 0,
+    exactness by ranks."""
     vert = ar.vertex(z)
     if vert.projective:
         raise IsProjective(f"{z} is projective; no almost split sequence ends there")
@@ -686,7 +659,7 @@ def ar_sequence(ar: ARQuiver, z: str) -> ARSequence:
         mid_total = sum(mid.rep.dims[i] for mid in middles)
         if x.rep.dims[i] + vert.rep.dims[i] != mid_total:
             raise NotDirected(f"mesh dimensions inconsistent at vertex {vx}")
-    return ARSequence(x, middles, mesh.eta, mesh.nu)
+    return mesh
 
 
 def quiver_shape(ar: ARQuiver) -> dict:
@@ -712,14 +685,14 @@ class FieldIndependenceReport:
 
 
 def check_field_independence(spec: AlgebraSpec, primes: Sequence[int],
-                             config: KnitConfig | None = None) -> FieldIndependenceReport:
+                             max_vertices: int = 512) -> FieldIndependenceReport:
     """Knit over each prime and check each quiver against the first
     (``ARQuiver.share_memos``, which raises ``FieldDependenceDetected``)."""
     if len(primes) < 2:
         raise ValueError("need at least two primes")
-    first = knit(spec, primes[0], config)
+    first = knit(spec, primes[0], max_vertices)
     for p in primes[1:]:
-        knit(spec, p, config).share_memos(first)
+        knit(spec, p, max_vertices).share_memos(first)
     return FieldIndependenceReport(tuple(primes), len(first.vertices))
 
 

@@ -123,14 +123,12 @@ class LieTable:
     Only pairs i < j in the knitted order are stored; each entry is either
     None (vanishing bracket) or (target id, coefficient)."""
 
-    __slots__ = ("basis", "dims", "totals", "entries")
+    __slots__ = ("basis", "dims", "entries")
 
     def __init__(self, basis: tuple[str, ...], dims: dict[str, tuple[int, ...]],
-                 totals: dict[str, int],
                  entries: dict[tuple[str, str], tuple[str, int] | None]):
         self.basis = basis
         self.dims = dims
-        self.totals = totals
         self.entries = entries
 
     def bracket(self, x: str, y: str) -> tuple[str, int] | None:
@@ -181,10 +179,7 @@ def hall_lie_table(family: ARFamily) -> LieTable:
                         f"[{xi}, {xj}] is supported on more than one class")
                 entry = (unit, coeff)
             entries[(xi, xj)] = entry
-    return LieTable(tuple(ids),
-                    {v.id: v.rep.dims for v in ar.vertices},
-                    {v.id: v.rep.total_dim for v in ar.vertices},
-                    entries)
+    return LieTable(tuple(ids), {v.id: v.rep.dims for v in ar.vertices}, entries)
 
 
 def euler_lie_table(kt: LieTable) -> LieTable:
@@ -194,7 +189,7 @@ def euler_lie_table(kt: LieTable) -> LieTable:
     Both products sum phi(sub, quot, x)(1) over the classes x with the
     roles of the factors swapped, v_m . v_n = u_n . u_m, so every
     commutator changes sign: [m, n]_E = -[m, n]_H."""
-    return LieTable(kt.basis, kt.dims, kt.totals, {
+    return LieTable(kt.basis, kt.dims, {
         pair: None if entry is None else (entry[0], -entry[1])
         for pair, entry in kt.entries.items()})
 
@@ -208,7 +203,7 @@ def verify_isomorphism(kt: LieTable, lt: LieTable) -> Report:
                                    "tables have different bases")])
 
     def eps(vid: str) -> int:
-        return -1 if kt.totals[vid] % 2 == 0 else 1
+        return -1 if sum(kt.dims[vid]) % 2 == 0 else 1
 
     for (i, j), k_entry in sorted(kt.entries.items()):
         l_entry = lt.entries[(i, j)]

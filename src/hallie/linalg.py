@@ -51,12 +51,6 @@ class PrimeField:
         self.p = p
         self.inverses = (0,) + tuple(pow(x, p - 2, p) for x in range(1, p))
 
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in F_p")
-        return self.inverses[a]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
 

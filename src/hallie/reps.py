@@ -79,11 +79,6 @@ class Representation:
         return f"Representation(p={self.field.p}, dim={self.dims})"
 
 
-def zero_rep(spec: "AlgebraSpec", field: PrimeField) -> Representation:
-    maps = {a.id: FMatrix.zeros(field, 0, 0) for a in spec.quiver.arrows}
-    return Representation(spec, field, (0,) * len(spec.vertices), maps)
-
-
 def simple_rep(spec: "AlgebraSpec", x: str, p: int) -> Representation:
     field = PrimeField(p)
     dims = tuple(1 if v == x else 0 for v in spec.vertices)
@@ -148,13 +143,13 @@ def summand_inclusions(spec: "AlgebraSpec", field: PrimeField,
                        parts: Sequence[Representation]) -> list[dict[str, FMatrix]]:
     """Vertex-indexed block inclusion maps of each part into the direct sum."""
     n = len(spec.vertices)
-    totals = [sum(part.dims[i] for part in parts) for i in range(n)]
+    dims = [sum(part.dims[i] for part in parts) for i in range(n)]
     out = []
     offset = [0] * n
     for part in parts:
         incl = {}
         for i, v in enumerate(spec.vertices):
-            rows = [[0] * part.dims[i] for _ in range(totals[i])]
+            rows = [[0] * part.dims[i] for _ in range(dims[i])]
             for j in range(part.dims[i]):
                 rows[offset[i] + j][j] = 1
             incl[v] = FMatrix.from_rows(field, rows, ncols=part.dims[i])

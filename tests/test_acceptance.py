@@ -109,7 +109,7 @@ def brute_force_line_count(p: int) -> int:
         for y in range(p):
             if x == y == 0:
                 continue
-            lead = PrimeField(p).inv(x if x else y)
+            lead = PrimeField(p).inverses[x if x else y]
             seen.add(((x * lead) % p, (y * lead) % p))
     return len(seen)
 

@@ -65,8 +65,7 @@ class TestParsing:
         # and the tie-break keeps the lexicographically smaller one
         long_paths = [q for q in spec.path_basis if len(q) == 2]
         assert long_paths == [Path(("c", "a"), "1", "4")]
-        assert spec.rewrites[Path(("d", "b"), "1", "4")] == \
-            ((1, Path(("c", "a"), "1", "4")),)
+        assert spec.rewrites[Path(("d", "b"), "1", "4")] == Path(("c", "a"), "1", "4")
 
     def test_rejects_cycle(self):
         with pytest.raises(CyclicQuiver):
@@ -163,11 +162,11 @@ class TestCommutativeLadder:
     def test_rewrites_land_on_basis_paths(self):
         spec = parse_algebra(LADDER)
         basis = set(spec.path_basis)
-        for path, terms in spec.rewrites.items():
-            assert all(q in basis for _, q in terms), path
+        for path, rep in spec.rewrites.items():
+            assert rep is None or rep in basis, path
         dcu = Path(("d", "c", "u"), "1", "6")
-        assert spec.rewrites[Path(("w", "b", "a"), "1", "6")] == ((1, dcu),)
-        assert spec.rewrites[Path(("d", "v", "a"), "1", "6")] == ((1, dcu),)
+        assert spec.rewrites[Path(("w", "b", "a"), "1", "6")] == dcu
+        assert spec.rewrites[Path(("d", "v", "a"), "1", "6")] == dcu
 
     def test_projectives_and_knit_over_f2(self):
         spec = parse_algebra(LADDER)
@@ -221,7 +220,8 @@ def rational_path_basis(quiver, relations):
     elimination over Q of the padded relation generators, per (source,
     target) pair, with columns in descending ``Path.sort_key`` order so that
     the free column of a coset is its shortest, lexicographically smallest
-    path.  Rewrite coefficients are left as the elimination gives them."""
+    path.  Every rewrite coefficient the elimination gives is checked to
+    be 1 and then dropped, as ``compute_path_basis`` drops it."""
     paths = _all_paths(quiver)
     longest = max((len(q) for q in paths), default=0)
     by_pair = {}
@@ -268,6 +268,11 @@ def rational_path_basis(quiver, relations):
                 rewrites[q] = ((1, q),)
                 basis.append(q)
     basis.sort(key=lambda q: (len(q), quiver.vertices.index(q.source), q.arrows))
+    # over Q every path rewrites to one basis path with coefficient 1, or to 0:
+    # ((1, rep),) or (), which ``compute_path_basis`` writes as rep or None
+    for q, terms in rewrites.items():
+        assert terms == () or (len(terms) == 1 and terms[0][0] == 1), (q, terms)
+    rewrites = {q: terms[0][1] if terms else None for q, terms in rewrites.items()}
     return tuple(basis), rewrites, longest
 
 
@@ -341,8 +346,8 @@ class TestPathBasisOracle:
         square["relations"].append({"kind": "zero", "path": zero})
         spec = parse_algebra(json.dumps(square))
         assert [q for q in spec.path_basis if len(q) == 2] == []
-        assert spec.rewrites[Path(("c", "a"), "1", "4")] == ()
-        assert spec.rewrites[Path(("d", "b"), "1", "4")] == ()
+        assert spec.rewrites[Path(("c", "a"), "1", "4")] is None
+        assert spec.rewrites[Path(("d", "b"), "1", "4")] is None
         assert compute_path_basis(spec.quiver, spec.relations) == \
             rational_path_basis(spec.quiver, spec.relations)
 
@@ -364,4 +369,4 @@ class TestPathBasisOracle:
         assert (basis, rewrites, longest) == rational_path_basis(quiver, square)
         # one basis path per pair of comparable vertices, none vanishing
         assert len(basis) == sum((3 - i) * (4 - j) for i in range(3) for j in range(4))
-        assert all(rewrites[q] for q in _all_paths(quiver))
+        assert all(rewrites[q] is not None for q in _all_paths(quiver))

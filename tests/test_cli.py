@@ -259,15 +259,19 @@ class TestErrorPaths:
         code, _, err = invoke(capsys, "knit", "--algebra", algebra("a2"),
                               "--max-vertices", "0")
         assert code == 2
-        code, _, err = invoke(capsys, "hall", "--algebra", algebra("a2"),
-                              "--triple", "0-1/1-0/1-1", "--jobs", "-1")
-        assert code == 2
 
-    def test_jobs_other_than_one_rejected(self, capsys):
-        code, _, err = invoke(capsys, "hall", "--algebra", algebra("a2"),
-                              "--triple", "0-1/1-0/1-1", "--jobs", "2")
-        assert code == 2
-        assert "--jobs" in err
+    def test_jobs_rejected(self, capsys):
+        """Hall counting runs in one process, so there is no ``--jobs``, not
+        even ``--jobs 1``; the ``config`` block keeps ``"jobs": 1`` as a
+        constant."""
+        with pytest.raises(SystemExit) as exc:
+            run(["hall", "--algebra", algebra("a2"), "--triple", "0-1/1-0/1-1",
+                 "--jobs", "1"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        code, out, _ = invoke(capsys, "hall", "--algebra", algebra("a2"),
+                              "--triple", "0-1/1-0/1-1")
+        assert code == 0 and json.loads(out)["config"]["jobs"] == 1
 
     def test_seed_rejected(self, capsys):
         """Nothing is drawn at random, so there is no seed to set; the

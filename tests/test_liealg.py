@@ -140,7 +140,7 @@ class TestChecksCanFail:
         assert pairs
         for pair in pairs:
             target, coeff = kt.entries[pair]
-            bad = LieTable(kt.basis, kt.dims, kt.totals,
+            bad = LieTable(kt.basis, kt.dims,
                            {**kt.entries, pair: (target, 2 * coeff)})
             assert len(jacobi_check(bad).failures()) == 1, pair
 
@@ -149,7 +149,7 @@ class TestChecksCanFail:
         lt = euler_lie_table(kt)
         for i, j in lt.nonzero_pairs():
             target, coeff = lt.entries[(i, j)]
-            bad = LieTable(lt.basis, lt.dims, lt.totals,
+            bad = LieTable(lt.basis, lt.dims,
                            {**lt.entries, (i, j): (target, -coeff)})
             failures = verify_isomorphism(kt, bad).failures()
             assert [c.name for c in failures] == [f"pair ({i}, {j})"]

@@ -11,7 +11,7 @@ from hallie.linalg import FMatrix, PrimeField
 from hallie.reps import (MultiplicityVector, Representation, SubspaceTuple,
                          aut_order, check_relations, decompose, direct_sum,
                          find_isomorphism, hom_dim, hom_space, identify,
-                         simple_rep, sub_quotient, zero_rep)
+                         simple_rep, sub_quotient)
 
 
 @pytest.fixture(scope="module")
@@ -229,7 +229,7 @@ class TestIdentify:
             assert identify(v.rep, ar2) == MultiplicityVector.unit(v.id)
 
     def test_zero(self, ar2, a2):
-        assert identify(zero_rep(a2, ar2.field), ar2) == MultiplicityVector.zero()
+        assert identify(direct_sum(a2, ar2.field, []), ar2) == MultiplicityVector.zero()
 
     def test_mixed(self, ar2, a2):
         m = direct_sum(a2, ar2.field, [projective_rep(a2, "1", 3),
@@ -267,7 +267,7 @@ class TestAutOrder:
         assert aut_order(m) == 48  # |GL_2(F_3)|
 
     def test_zero_rep(self, a2):
-        assert aut_order(zero_rep(a2, PrimeField(3))) == 1
+        assert aut_order(direct_sum(a2, PrimeField(3), [])) == 1
 
     def test_projective(self, a2):
         # End(P_1) = F_p, so Aut has p - 1 elements

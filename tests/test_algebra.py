@@ -268,8 +268,6 @@ def rational_path_basis(quiver, relations):
                 rewrites[q] = ((1, q),)
                 basis.append(q)
     basis.sort(key=lambda q: (len(q), quiver.vertices.index(q.source), q.arrows))
-    # over Q every path rewrites to one basis path with coefficient 1, or to 0:
-    # ((1, rep),) or (), which ``compute_path_basis`` writes as rep or None
     for q, terms in rewrites.items():
         assert terms == () or (len(terms) == 1 and terms[0][0] == 1), (q, terms)
     rewrites = {q: terms[0][1] if terms else None for q, terms in rewrites.items()}
